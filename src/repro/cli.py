@@ -28,6 +28,8 @@ import argparse
 import sys
 
 from repro.analysis.report import print_tables
+from repro.core.runtime import EXECUTOR_SPECS, SlotRuntimeError, \
+    build_executor
 from repro.core.scope import NRScope
 from repro.gnb.cell_config import ALL_PROFILES
 from repro.simulation import Simulation
@@ -59,12 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sniff.add_argument("--report", action="store_true",
                        help="print the full per-UE session report")
     sniff.add_argument("--executor", default="inline",
-                       help="slot runtime executor: "
-                            "inline | threaded[:N] | process[:N]")
-    sniff.add_argument("--workers", type=int, default=4,
-                       help="slot workers for the threaded executor")
-    sniff.add_argument("--dci-threads", type=int, default=1,
-                       help="DCI decode shards per slot")
+                       help=f"slot runtime executor: {EXECUTOR_SPECS}")
     sniff.add_argument("--no-batch", action="store_true",
                        help="disable the batched PHY kernels "
                             "(per-candidate scalar decode)")
@@ -137,9 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--fidelity", default="message",
                        choices=["message", "iq"])
     fleet.add_argument("--executor", default="inline",
-                       help="slot runtime executor: "
-                            "inline | threaded[:N] | process[:N]")
-    fleet.add_argument("--workers", type=int, default=4)
+                       help=f"slot runtime executor: {EXECUTOR_SPECS}")
     fleet.add_argument("--json-dir", metavar="DIR", default=None,
                        help="write each cell's telemetry as "
                             "DIR/<cell>.jsonl")
@@ -178,8 +173,9 @@ def cmd_sniff(args: argparse.Namespace) -> int:
 
     profile = ALL_PROFILES[args.profile]
     try:
+        executor = build_executor(args.executor)
         reporters = reporters_from_specs(args.obs)
-    except ReporterError as exc:
+    except (ReporterError, SlotRuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     counter_rep = next((r for r in reporters
@@ -195,10 +191,7 @@ def cmd_sniff(args: argparse.Namespace) -> int:
     sim = Simulation.build(profile, n_ues=args.ues, seed=args.seed,
                            traffic=args.traffic, channel=args.channel,
                            fidelity=args.fidelity)
-    scope = NRScope.attach(sim, snr_db=args.snr_db,
-                           executor=args.executor,
-                           n_workers=args.workers,
-                           n_dci_threads=args.dci_threads,
+    scope = NRScope.attach(sim, snr_db=args.snr_db, executor=executor,
                            batch_kernels=not args.no_batch,
                            obs=obs)
     sim.run(seconds=args.seconds)
@@ -351,10 +344,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 else args.seconds,
                 fidelity=args.fidelity,
                 checkpoint_interval_s=args.interval,
-                executor=args.executor, n_workers=args.workers)
+                executor=args.executor)
             supervisor = FleetSupervisor.build(config, obs=obs)
         supervisor.run(args.seconds, checkpoint_path=args.checkpoint)
-    except FleetError as exc:
+    except (FleetError, SlotRuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,8 @@
 
 from repro.core.aggregation import PacketAggregationAnalyzer
 from repro.core.cell_search import CellKnowledge, CellSearcher
-from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
-    RecordDciDecoder
+from repro.core.dci_decoder import DecodeSpec, DecodedDci, \
+    GridDciDecoder, RecordDciDecoder
 from repro.core.decode_model import decode_succeeds, pdcch_bler, uci_bler
 from repro.core.feedback import FeedbackMessage, FeedbackService
 from repro.core.fingerprint import FingerprintLibrary, RanFingerprint, \
@@ -12,9 +12,9 @@ from repro.core.harq_tracker import HarqTrackerBank, UeHarqTracker
 from repro.core.multicell import CellStream, FusedStream, HandoverEvent, \
     MultiCellController, correlate_streams, detect_handovers
 from repro.core.rach_sniffer import RachSniffer, TrackedUe
-from repro.core.runtime import Executor, InlineExecutor, RuntimeStats, \
-    SlotContext, SlotRuntime, Stage, StageStats, ThreadedExecutor, \
-    build_executor, shard_ues, sharded_grid_decode
+from repro.core.runtime import Executor, InlineExecutor, JobResult, \
+    ProcessExecutor, RuntimeStats, SlotContext, SlotRuntime, Stage, \
+    StageStats, build_executor
 from repro.core.scope import NRScope, ScopeCounters
 from repro.core.spare_capacity import SpareCapacityEstimator, SpareShare, \
     TtiUsage
@@ -23,20 +23,20 @@ from repro.core.throughput import SlidingWindowEstimator, ThroughputBank
 from repro.core.uci_telemetry import UciObservation, UciTelemetry
 
 __all__ = [
-    "CellKnowledge", "CellSearcher", "CellStream", "DecodedDci",
+    "CellKnowledge", "CellSearcher", "CellStream", "DecodeSpec",
+    "DecodedDci",
     "Executor", "FeedbackMessage", "FeedbackService",
     "FingerprintLibrary", "FusedStream", "GridDciDecoder",
-    "HandoverEvent", "HarqTrackerBank", "InlineExecutor",
-    "MultiCellController", "NRScope",
+    "HandoverEvent", "HarqTrackerBank", "InlineExecutor", "JobResult",
+    "MultiCellController", "NRScope", "ProcessExecutor",
     "PacketAggregationAnalyzer", "RachSniffer", "RecordDciDecoder",
     "RuntimeStats", "ScopeCounters", "SlidingWindowEstimator",
     "SlotContext", "SlotRuntime", "SpareCapacityEstimator",
     "SpareShare", "Stage", "StageStats", "TelemetryLog",
-    "TelemetryRecord", "ThreadedExecutor", "ThroughputBank",
+    "TelemetryRecord", "ThroughputBank",
     "TrackedUe", "TtiUsage",
     "RanFingerprint", "UciObservation", "UciTelemetry", "UeHarqTracker",
     "anomaly_score", "build_executor", "classify_scheduler",
     "correlate_streams", "decode_succeeds", "detect_handovers",
-    "fingerprint_session", "pdcch_bler", "shard_ues",
-    "sharded_grid_decode", "uci_bler",
+    "fingerprint_session", "pdcch_bler", "uci_bler",
 ]

@@ -48,7 +48,7 @@ class FleetError(ValueError):
 
 #: Version stamped into every checkpoint blob; ``restore`` rejects
 #: anything else rather than resuming from an incompatible layout.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Per-cell spacing of derived seeds (cell i draws from seed-space
 #: ``seed + stride * (i + 1)``) and of population UE ids, so no two
@@ -84,7 +84,6 @@ class FleetConfig:
     fidelity: str = "message"
     checkpoint_interval_s: float = 1.0
     executor: str = "inline"
-    n_workers: int = 4
 
 
 class FleetSupervisor:
@@ -113,9 +112,7 @@ class FleetSupervisor:
             raise FleetError(f"checkpoint interval must be positive: "
                              f"{config.checkpoint_interval_s}")
         obs = obs if obs is not None else OBS_NOOP
-        controller = MultiCellController(executor=config.executor,
-                                         n_workers=config.n_workers,
-                                         obs=obs)
+        controller = MultiCellController(executor=config.executor, obs=obs)
         supervisor = cls(config, controller, obs)
         profile = ALL_PROFILES[config.profile]
         for index in range(config.n_cells):
@@ -221,9 +218,7 @@ class FleetSupervisor:
             raise FleetError(
                 f"unsupported checkpoint version: {version!r}")
         config = blob["config"]
-        controller = MultiCellController(executor=config.executor,
-                                         n_workers=config.n_workers,
-                                         obs=obs)
+        controller = MultiCellController(executor=config.executor, obs=obs)
         supervisor = cls(config, controller, obs)
         for cell in blob["cells"]:
             sim = Simulation.from_state(cell["sim"])

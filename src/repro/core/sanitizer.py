@@ -13,21 +13,17 @@ instrumented mode that
 * wraps the session generator in an :class:`AuditedGenerator` that
   trips on any draw made while a parallel stage is on the call stack.
 
-A trip raises :class:`SanitizerViolation` inside the stage; the
-:class:`~repro.core.runtime.SlotRuntime` stores it as ``ctx.error`` and
-re-raises it as ``SlotRuntimeError`` at commit, so the violating test
-fails loudly in slot order.
+A trip raises :class:`SanitizerViolation` inside the stage's job; the
+executor captures it in the job's result and the
+:class:`~repro.core.runtime.SlotRuntime` re-raises it as
+``SlotRuntimeError`` at commit, so the violating test fails loudly in
+slot order.  The scope covers jobs the inline executor runs; a worker
+process's job holds none of the parent's guarded objects.
 
 Activation: pass an enabled :class:`Sanitizer` explicitly, set the
 ``NRSAN`` environment variable (``NRSAN=1``), or use the ``nrsan``
 pytest fixture.  Disabled, every hook is a pass-through returning its
 input unchanged — production runs pay nothing.
-
-Known blind spot: the parallel-stage flag is thread-local and set in
-the thread running the stage thunk.  Per-UE shard threads spawned by
-``ThreadedExecutor.map`` inside the stage do not inherit it, so RNG
-audit does not extend into shards — the *table* guard does, because it
-is object-level and frozen unconditionally.
 
 :func:`parallel_stage` is the static anchor: decorating a stage entry
 point marks it as a purity root for lint rule R006 without importing
@@ -77,7 +73,7 @@ class Sanitizer:
 
     One instance is shared by the scope (which wraps its RNG and
     tracked snapshots through it) and the runtime (which brackets the
-    parallel stage with :meth:`parallel_stage_scope`).
+    parallel stage's job with :meth:`parallel_stage_scope`).
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -141,23 +137,6 @@ class Sanitizer:
         if not self.enabled:
             return rng
         return AuditedGenerator(self, rng)
-
-
-def unwrap_tracked(table: dict[int, Any]) -> dict[int, Any]:
-    """Plain-dict copy of a (possibly guarded) tracked snapshot.
-
-    Payload executors pickle the snapshot for worker processes; the
-    guards hold a thread-local :class:`Sanitizer` and cannot travel, so
-    they are stripped here.  The workers' copies are private, so the
-    write-guard contract is preserved by construction: nothing a worker
-    does to its copy can reach the parent's table.
-    """
-    plain: dict[int, Any] = {}
-    for rnti, ue in table.items():
-        if isinstance(ue, GuardedTrackedUe):
-            ue = object.__getattribute__(ue, "_ue")
-        plain[rnti] = ue
-    return plain
 
 
 class GuardedTrackedTable(dict):

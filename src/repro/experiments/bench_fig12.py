@@ -4,9 +4,8 @@ Measures the production slot pipeline (OFDM demod backbone + per-UE
 PDCCH blind decode) over the Fig 12 workload at several tracked-UE
 counts, across the executor x kernel matrix:
 
-* executors — ``inline`` (scalar baseline), ``threaded:4`` (the paper's
-  worker pool, GIL-bound in Python), ``process:4`` (true multi-core via
-  picklable decode jobs);
+* executors — ``inline`` (scalar baseline) and ``process:4`` (true
+  multi-core: the same decode job pickled to four worker processes);
 * kernels — ``scalar`` (per-candidate Python loop) vs ``batched``
   (stacked numpy gather/demod/descramble/polar, bit-identical outputs).
 
@@ -24,6 +23,7 @@ runs a tiny config and validates the schema with :func:`validate_bench`.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -41,8 +41,6 @@ SCHEMA = "bench-fig12/v1"
 CONFIGS: tuple[tuple[str, bool], ...] = (
     ("inline", False),
     ("inline", True),
-    ("threaded:4", False),
-    ("threaded:4", True),
     ("process:4", False),
     ("process:4", True),
 )
@@ -185,6 +183,7 @@ def to_document(results: list[BenchConfig],
     return {
         "schema": SCHEMA,
         "profile": profile.name,
+        "cpu_count": os.cpu_count(),
         "n_slots": n_slots,
         "ue_counts": list(ue_counts),
         "configs": [

@@ -122,6 +122,15 @@ class TestCheckpointResume:
         with pytest.raises(FleetError):
             FleetSupervisor.restore(path)
 
+    def test_restore_rejects_pre_payload_job_checkpoint(self, tmp_path):
+        # Version 1 checkpoints carry FleetConfig.n_workers and the old
+        # grid-decoder state layout; they must fail loudly, not half-load.
+        assert CHECKPOINT_VERSION > 1
+        path = tmp_path / "fleet.ckpt"
+        path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
+        with pytest.raises(FleetError, match="version"):
+            FleetSupervisor.restore(path)
+
     def test_restore_rejects_garbage(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(b"not a pickle")

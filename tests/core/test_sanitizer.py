@@ -1,7 +1,7 @@
 """nrsan tests: the runtime half of the stage-purity contract.
 
 The headline test mirrors the static R006 fixture dynamically: a
-parallel stage that mutates the tracked snapshot must be caught by the
+parallel job that mutates the tracked snapshot must be caught by the
 write-guard and surface as a ``SlotRuntimeError`` at commit.
 """
 
@@ -138,22 +138,27 @@ class TestRngAudit:
         assert "value" in results and "error" not in results
 
 
-class TestRuntimeIntegration:
-    """The dynamic R006 catch: an impure parallel stage fails at commit."""
+def touch_every_ue(tracked):
+    """An impure decode job: the violation bad_stage.py seeds for
+    static R006."""
+    for ue in tracked.values():
+        ue.touch(9.9)
 
-    def _runtime(self, nrsan, stage_fn):
+
+class TestRuntimeIntegration:
+    """The dynamic R006 catch: an impure parallel job fails at commit."""
+
+    def _runtime(self, nrsan, job, merge=lambda ctx, result: None):
+        # Pack hands the job the tracked snapshot itself: the inline
+        # executor runs it in-process, inside the sanitizer's scope.
         return SlotRuntime(
-            stages=[Stage("decode", stage_fn, parallel=True)],
+            stages=[Stage("decode", pack=lambda ctx: (job, ctx.tracked),
+                          merge=merge)],
             sanitizer=nrsan)
 
     def test_tracked_mutation_in_parallel_stage_is_caught(self, nrsan):
         ue = make_ue()
-
-        def bad_stage(ctx):
-            # The same violation bad_stage.py seeds for static R006.
-            ctx.tracked[ue.rnti].touch(9.9)
-
-        runtime = self._runtime(nrsan, bad_stage)
+        runtime = self._runtime(nrsan, touch_every_ue)
         ctx = SlotContext(output=None)
         ctx.tracked = nrsan.guard_tracked({ue.rnti: ue})
         with pytest.raises(SlotRuntimeError) as excinfo:
@@ -166,21 +171,18 @@ class TestRuntimeIntegration:
     def test_rng_draw_in_parallel_stage_is_caught(self, nrsan):
         audited = nrsan.audit_rng(np.random.default_rng(0))
 
-        def bad_stage(ctx):
-            audited.random()
+        def drawing_job(tracked):
+            return audited.random()
 
-        runtime = self._runtime(nrsan, bad_stage)
+        runtime = self._runtime(nrsan, drawing_job)
         with pytest.raises(SlotRuntimeError):
             runtime.submit(SlotContext(output=None))
             runtime.flush()
 
     def test_pure_stage_passes(self, nrsan):
         seen = []
-
-        def good_stage(ctx):
-            seen.append(sorted(ctx.tracked))
-
-        runtime = self._runtime(nrsan, good_stage)
+        runtime = self._runtime(
+            nrsan, sorted, merge=lambda ctx, result: seen.append(result))
         ctx = SlotContext(output=None)
         ctx.tracked = nrsan.guard_tracked({5: make_ue(5)})
         runtime.submit(ctx)
@@ -217,7 +219,7 @@ class TestScopeIntegration:
         bare = self._session()
         sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=5)
         scope = NRScope.attach(sim, snr_db=20.0, sanitizer=nrsan,
-                               executor="process", n_workers=2,
+                               executor="process:2",
                                queue_depth=8192, idle_timeout_s=5.0)
         sim.run(seconds=0.5)
         scope.close()

@@ -1,5 +1,7 @@
 """Integration tests for the NRScope orchestrator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import NRScope, Simulation, SRSRAN_PROFILE
@@ -137,7 +139,8 @@ class TestCaptureImpairments:
                                capture_impairments=True)
         sim.run(seconds=0.02)  # sync first
         assert scope._grid_decoder is not None
-        scope._grid_decoder.equalize = False
+        scope._grid_decoder.spec = replace(scope._grid_decoder.spec,
+                                           equalize=False)
         scope._capture_phase = 2.0  # far outside the QPSK region
         sim.run(seconds=0.2)
         truth = [r for r in sim.gnb.log.downlink_records()

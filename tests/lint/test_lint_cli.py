@@ -132,9 +132,9 @@ class TestEffectsMode:
         assert lint_main(["effects", str(REPO_SRC)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["stage_roots"] == \
-            ["core/scope.py::NRScope._stage_dci"]
-        frontier = report["purity_frontier"][0]
-        assert frontier["pure"] is True
+            ["core/dci_decoder.py::grid_decode_job",
+             "core/dci_decoder.py::record_decode_job"]
+        assert all(f["pure"] for f in report["purity_frontier"])
         assert report["functions"] > 100
         assert report["parse_failures"] == []
 

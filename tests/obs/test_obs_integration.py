@@ -66,7 +66,7 @@ class TestExecutorEquivalence:
         _, scope = run_session(
             seconds=0.5,
             obs=ObsContext.create([ring], run_id="t"),
-            executor=executor, n_workers=4, queue_depth=8192,
+            executor=executor, queue_depth=8192,
             idle_timeout_s=5.0)
         assert validate_events(ring.events) == []
         return scope, ring.events
@@ -76,12 +76,6 @@ class TestExecutorEquivalence:
         _, process_events = self._events("process:4")
         assert strip_volatile(inline_events) \
             == strip_volatile(process_events)
-
-    def test_inline_and_threaded_streams_are_identical(self):
-        _, inline_events = self._events("inline")
-        _, threaded_events = self._events("threaded:4")
-        assert strip_volatile(inline_events) \
-            == strip_volatile(threaded_events)
 
 
 class TestStreamReconstructsCounters:
@@ -152,7 +146,7 @@ class TestBackpressureDrops:
         _, scope = run_session(
             seconds=1.0,
             obs=ObsContext.create([ring], run_id="t"),
-            executor="threaded:1", queue_depth=1,
+            executor="process:1", queue_depth=1,
             slot_budget_s=1e-7)
         drops = [e for e in ring.events if e["name"] == "dci.drop"]
         if scope.counters.dcis_dropped == 0:

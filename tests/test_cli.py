@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.runtime import SlotRuntimeError, build_executor
 
 
 class TestCells:
@@ -50,6 +51,14 @@ class TestSniff:
     def test_rejects_unknown_profile(self):
         with pytest.raises(SystemExit):
             main(["sniff", "--profile", "fantasy"])
+
+    def test_rejects_threaded_executor_naming_valid_specs(self, capsys):
+        with pytest.raises(SlotRuntimeError,
+                           match=r"inline \| process\[:N\]"):
+            build_executor("threaded")
+        assert main(["sniff", "--seconds", "0.1",
+                     "--executor", "threaded:4"]) == 2
+        assert "inline | process[:N]" in capsys.readouterr().err
 
     def test_runtime_stats_prints_drops_column(self, capsys):
         assert main(["sniff", "--seconds", "0.3", "--ues", "1",
