@@ -12,10 +12,11 @@ import numpy as np
 
 
 class Stage:
-    def __init__(self, name, fn, parallel=False):
+    def __init__(self, name, fn=None, pack=None, merge=None):
         self.name = name
         self.fn = fn
-        self.parallel = parallel
+        self.pack = pack
+        self.merge = merge
 
 
 def coin_flip():
@@ -39,4 +40,8 @@ def decode_with_local_generator(payload):
     return payload if rng is not None else None
 
 
-STAGE = Stage("decode", decode_with_local_generator, parallel=True)
+def pack_decode(ctx):
+    return decode_with_local_generator, ctx.output
+
+
+STAGE = Stage("decode", pack=pack_decode)

@@ -1,7 +1,7 @@
 """R006 fixture: a parallel stage whose closure is impure every way.
 
 Both root-detection forms appear: the ``@parallel_stage`` decorator and
-a ``Stage(..., parallel=True)`` construction.  The stage body reaches,
+the job a ``Stage(..., pack=...)`` callable returns.  The job reaches,
 through helpers, a tracked-table mutation, a stateful RNG draw and a
 wall-clock read — each must surface as an R006 finding with a witness
 chain.  The same file doubles as the nrsan test's shape reference: the
@@ -18,10 +18,11 @@ def parallel_stage(fn):
 
 
 class Stage:
-    def __init__(self, name, fn, parallel=False):
+    def __init__(self, name, fn=None, pack=None, merge=None):
         self.name = name
         self.fn = fn
-        self.parallel = parallel
+        self.pack = pack
+        self.merge = merge
 
 
 def _mark_activity(tracked, rnti, now_s):
@@ -36,16 +37,23 @@ def _stamp():
     return time.time()
 
 
+def decode_job(payload):
+    for rnti in list(payload.tracked):
+        _mark_activity(payload.tracked, rnti, _stamp())
+        if _draw_decision():
+            payload.tracked.pop(rnti)
+
+
 class BadPipeline:
     def __init__(self):
-        self.tracked = {}
-        self.stage = Stage("decode", self._stage_decode, parallel=True)
+        self.stage = Stage("decode", pack=self._pack_decode,
+                           merge=self._merge_decode)
 
-    def _stage_decode(self, ctx):
-        for rnti in ctx.tracked:
-            _mark_activity(ctx.tracked, rnti, _stamp())
-            if _draw_decision():
-                self.tracked.pop(rnti)
+    def _pack_decode(self, ctx):
+        return decode_job, ctx
+
+    def _merge_decode(self, ctx, result):
+        ctx.decoded = result
 
 
 @parallel_stage

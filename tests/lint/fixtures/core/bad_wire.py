@@ -13,11 +13,10 @@ import numpy as np
 
 
 class Stage:
-    def __init__(self, name, fn, pack=None, parallel=False):
+    def __init__(self, name, fn, pack=None):
         self.name = name
         self.fn = fn
         self.pack = pack
-        self.parallel = parallel
 
 
 class BadDecoder:

@@ -5,8 +5,8 @@ a dtype-less stacked allocation silently promotes every candidate row
 to float64) and stage purity (R006 — a batched closure that samples the
 wall clock or mutates the tracked table breaks executor determinism).
 This fixture seeds one violation of each in the shapes the real batch
-kernels use: a ``(rows, width)`` stacked gather buffer and a
-``Stage(..., parallel=True)`` batched decode closure.
+kernels use: a ``(rows, width)`` stacked gather buffer and a batched
+decode job returned by a ``Stage(..., pack=...)`` callable.
 """
 
 import time
@@ -15,10 +15,11 @@ import numpy as np
 
 
 class Stage:
-    def __init__(self, name, fn, parallel=False):
+    def __init__(self, name, fn=None, pack=None, merge=None):
         self.name = name
         self.fn = fn
-        self.parallel = parallel
+        self.pack = pack
+        self.merge = merge
 
 
 def gather_candidates_stacked(grid, starts, width):
@@ -34,18 +35,22 @@ def _batch_deadline():
     return time.time() + 0.5
 
 
-def decode_candidates_batch(ctx):
+def decode_candidates_batch(payload):
     stacked, energies = gather_candidates_stacked(
-        ctx.grid, ctx.starts, ctx.width)
+        payload.grid, payload.starts, payload.width)
     deadline = _batch_deadline()
     decoded = []
     for row, energy in enumerate(energies):
         if time.time() > deadline:
             break
-        if energy > ctx.threshold:
+        if energy > payload.threshold:
             decoded.append(stacked[row])
-            ctx.tracked[ctx.rntis[row]].decoded_dcis += 1
+            payload.tracked[payload.rntis[row]].decoded_dcis += 1
     return decoded
 
 
-BATCH_STAGE = Stage("dci-batch", decode_candidates_batch, parallel=True)
+def pack_batch(ctx):
+    return decode_candidates_batch, ctx
+
+
+BATCH_STAGE = Stage("dci-batch", pack=pack_batch)

@@ -98,7 +98,7 @@ class TestDecoderIntegration:
     def test_grid_decoder_with_impaired_capture(self, rng):
         """End-to-end: a rotated+noisy capture decodes only with the
         equalising decoder."""
-        from repro.core.dci_decoder import GridDciDecoder
+        from repro.core.dci_decoder import DecodeSpec, GridDciDecoder
         from repro.core.rach_sniffer import RachSniffer
         from repro.gnb.cell_config import SRSRAN_PROFILE
         from repro.rrc.messages import RrcSetup
@@ -124,10 +124,10 @@ class TestDecoderIntegration:
         base = dict(dci_cfg=SRSRAN_PROFILE.dci_size_config(),
                     n_id=SRSRAN_PROFILE.cell_id,
                     noise_var=10 ** (-15 / 10))
-        plain = GridDciDecoder(**base, equalize=False)
+        plain = GridDciDecoder(DecodeSpec(**base, equalize=False))
         assert plain.decode_slot(captured, slot_index,
                                  sniffer.tracked) == []
-        smart = GridDciDecoder(**base, equalize=True)
+        smart = GridDciDecoder(DecodeSpec(**base, equalize=True))
         decoded = smart.decode_slot(captured, slot_index,
                                     sniffer.tracked)
         assert [d.dci for d in decoded] == [dci]
