@@ -78,8 +78,8 @@ def test_ablation_decoder_optimisations(once):
             use_energy_gate=use_gate, use_cce_claiming=use_claiming))
         grid = demodulate_slot(workload.samples, workload.ofdm)
         start = time.perf_counter()
-        decoded = decoder.decode_slot(grid, workload.slot_index,
-                                      workload.tracked)
+        decoded = decoder.decode_slot_batch(grid, workload.slot_index,
+                                            workload.tracked)
         elapsed_s = time.perf_counter() - start
         return 1e6 * elapsed_s, len(decoded)
 

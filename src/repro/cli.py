@@ -12,9 +12,10 @@ Mirrors how the released NR-Scope tool is driven from a terminal:
   periodic checkpoints; ``--resume`` continues a killed run from its
   checkpoint file with telemetry identical to an uninterrupted run.
 * ``bench``    - repeatable perf benchmarks (``bench fig12`` writes
-  ``BENCH_fig12.json``, the executor x batch-kernel sweep;
-  ``bench telemetry`` writes ``BENCH_telemetry.json``, the columnar
-  store vs per-record baseline).
+  ``BENCH_fig12.json``, the Fig 12 decode timed on the inline and
+  ``process:4`` executors; ``bench telemetry`` writes
+  ``BENCH_telemetry.json``, the columnar store vs per-record
+  baseline).
 * ``obs``      - observability-stream tooling: ``obs topn`` clusters a
   session's failure events, ``obs validate`` checks a stream against
   the event schema.
@@ -62,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the full per-UE session report")
     sniff.add_argument("--executor", default="inline",
                        help=f"slot runtime executor: {EXECUTOR_SPECS}")
-    sniff.add_argument("--no-batch", action="store_true",
-                       help="disable the batched PHY kernels "
-                            "(per-candidate scalar decode)")
     sniff.add_argument("--runtime-stats", action="store_true",
                        help="print per-stage runtime statistics "
                             "(timings and drop counts, via the obs "
@@ -192,7 +190,6 @@ def cmd_sniff(args: argparse.Namespace) -> int:
                            traffic=args.traffic, channel=args.channel,
                            fidelity=args.fidelity)
     scope = NRScope.attach(sim, snr_db=args.snr_db, executor=executor,
-                           batch_kernels=not args.no_batch,
                            obs=obs)
     sim.run(seconds=args.seconds)
     scope.close()

@@ -5,7 +5,8 @@ Two backends share one interface:
 * :class:`GridDciDecoder` (iq fidelity) - runs the real PDCCH decode
   chain over a captured resource grid: for every tracked RNTI it
   enumerates that UE's search-space candidates for the slot and attempts
-  a polar decode + CRC check per format.
+  a polar decode + CRC check per format, stacking the candidates
+  through batched numpy kernels.
 * :class:`RecordDciDecoder` (message fidelity) - walks the slot's DCI
   records and applies the calibrated decode-failure model, producing the
   same outputs orders of magnitude faster.
@@ -36,8 +37,7 @@ from repro.phy.modulation import QPSK, demodulate_soft_batch
 from repro.phy.numerology import slots_per_frame
 from repro.phy.pdcch import BITS_PER_CCE, PdcchCandidate, \
     candidate_energies_batch, candidate_occupied, dci_crc_check_batch, \
-    estimate_channel, gather_candidates_batch, occupancy_threshold, \
-    try_decode_pdcch
+    estimate_channel, gather_candidates_batch, occupancy_threshold
 from repro.phy.resource_grid import ResourceGrid
 from repro.phy.scrambling import descramble_llrs, pdcch_scrambling_init
 from repro.gnb.gnb import DciRecord
@@ -68,7 +68,8 @@ def _ue_entry_plan(space: SearchSpace, rnti: int, reduced_slot: int) \
     batched decode performs for *every* tracked UE collapses to one
     cache hit per UE after the first frame.  Keyed on the search space
     itself (hashable, with an insertion-order-sensitive hash) so the
-    plan preserves the scalar path's exact iteration order.
+    plan preserves the per-candidate search order: UEs by RNTI, then
+    levels, then the hashed starts.
     """
     plan: list[tuple[int, int, bool, int]] = []
     n_cce = space.coreset.n_cces
@@ -217,52 +218,6 @@ class GridDciDecoder:
         self.spec = spec
         self.attempts = 0
 
-    def decode_slot(self, grid: ResourceGrid, slot_index: int,
-                    tracked: dict[int, TrackedUe],
-                    claimed: set[int] | None = None) -> list[DecodedDci]:
-        """Search every tracked UE's candidates in the captured grid.
-
-        ``claimed``, when given, seeds the CCE claims and receives the
-        CCEs of every decoded DCI (the equivalence tests compare it
-        between this path and :meth:`decode_slot_batch`).
-        """
-        spec = self.spec
-        decoded: list[DecodedDci] = []
-        attempts = 0
-        if claimed is None:
-            claimed = set()
-        for rnti in sorted(tracked):
-            ue = tracked[rnti]
-            space = ue.search_space
-            for level, count in space.candidates_per_level.items():
-                if count == 0:
-                    continue
-                for start in space.candidate_cces(level, slot_index, rnti):
-                    cces = frozenset(range(start, start + level))
-                    if spec.use_cce_claiming and cces & claimed:
-                        continue
-                    candidate = PdcchCandidate(first_cce=start,
-                                               aggregation_level=level)
-                    if spec.use_energy_gate and not candidate_occupied(
-                            grid, space.coreset, candidate,
-                            spec.noise_var):
-                        continue
-                    for fmt in (DciFormat.DL_1_1, DciFormat.UL_0_1):
-                        attempts += 1
-                        dci = try_decode_pdcch(
-                            grid, spec.dci_cfg, space.coreset, candidate,
-                            fmt, rnti, spec.n_id, spec.noise_var,
-                            slot_index=slot_index,
-                            equalize=spec.equalize)
-                        if dci is not None:
-                            decoded.append(DecodedDci(
-                                dci=dci, aggregation_level=level))
-                            if spec.use_cce_claiming:
-                                claimed.update(cces)
-                            break
-        self.attempts += attempts
-        return decoded
-
     #: Wave sizing for the batched path.  Waves are cut by the
     #: CCE-claiming replay: a successful decode claims CCEs and may
     #: disqualify later candidates, so decoding *everything* up front
@@ -282,15 +237,23 @@ class GridDciDecoder:
                           tracked: dict[int, TrackedUe],
                           claimed: set[int] | None = None) \
             -> list[DecodedDci]:
-        """Batched :meth:`decode_slot`: same outputs, vectorized kernels.
+        """Search every tracked UE's candidates in the captured grid.
+
+        The search visits UEs by RNTI, then each aggregation level's
+        hashed candidates; a candidate whose CCEs are already claimed
+        or whose REs fail the energy gate is skipped, otherwise both
+        DCI formats are attempted (each counts in ``attempts``) and the
+        first CRC-verified decode claims the candidate's CCEs.
+        ``claimed``, when given, seeds the CCE claims and receives the
+        CCEs of every decoded DCI.
 
         Candidates are stacked through the batched gather / demod /
-        descramble / polar kernels in claim-aware waves, then the scalar
-        control flow (CCE claiming, energy gate, per-format attempt
-        accounting) is *replayed* over the precomputed blocks.  Decoded
-        DCIs, claiming effects and the ``attempts`` counter are
-        bit-identical to the per-candidate path (enforced by the
-        equivalence tests); only the numpy dispatch count changes.
+        descramble / polar kernels in claim-aware waves, then that
+        control flow is *replayed* over the precomputed blocks.  The
+        decisions are bit-identical to a per-candidate loop over
+        :func:`~repro.phy.pdcch.try_decode_pdcch` (the test-suite
+        oracle in ``tests/core/test_batch_equivalence.py``); only the
+        numpy dispatch count differs.
         """
         spec = self.spec
         decoded: list[DecodedDci] = []
@@ -298,7 +261,7 @@ class GridDciDecoder:
         if claimed is None:
             claimed = set()
 
-        # Phase 1: enumerate candidates in exact scalar iteration order.
+        # Phase 1: enumerate candidates in search order.
         # Each entry carries its CCE footprint as an int bitmask so the
         # replay's claim checks are single AND operations; the
         # ``claimed`` set stays the caller-visible interface.  Per-UE
@@ -322,8 +285,8 @@ class GridDciDecoder:
         # computed lazily over chunks of consecutive entries.  Once
         # claiming saturates the CORESET the replay skips the tail on
         # claim bits alone, so at high tracked-UE counts most
-        # candidates are never gathered at all (matching the scalar
-        # path, which checks claims before touching the grid).  The
+        # candidates are never gathered at all (the search checks
+        # claims before it touches the grid).  The
         # gathered rows are kept for the waves, so symbols leave the
         # grid exactly once.
         threshold = occupancy_threshold(spec.noise_var)
@@ -357,7 +320,7 @@ class GridDciDecoder:
             gather_upto = hi
 
         def eligible(idx: int) -> bool:
-            """Would the scalar path demodulate entry ``idx`` under the
+            """Would the search demodulate entry ``idx`` under the
             claims known right now?"""
             _, _, _, _, valid, cce_bits = entries[idx]
             if not valid:
@@ -449,7 +412,7 @@ class GridDciDecoder:
                         blocks[(i, fmt)] = out[row]
                         crc_ok[(i, fmt)] = bool(oks[row])
 
-        # Phase 5: replay the scalar control flow, decoding lazily in
+        # Phase 5: replay the search's control flow, decoding lazily in
         # claim-aware waves.
         for idx, (rnti, level, start, _, valid, cce_bits) \
                 in enumerate(entries):
@@ -583,7 +546,7 @@ def unpack_grid_for_decode(packed: dict) -> ResourceGrid:
 class _DecodeUe:
     """Worker-side stand-in for :class:`TrackedUe`.
 
-    The grid decode paths only read ``search_space``; shipping the
+    The grid decode only reads ``search_space``; shipping the
     session bookkeeping (grant config, activity timestamps) across the
     process boundary every slot would dominate the payload cost.
     """
@@ -630,18 +593,12 @@ def grid_decode_job(payload: "GridDecodePayload") \
         -> tuple[list[DecodedDci], int]:
     """One slot's iq-fidelity decode: the DCI stage's job.
 
-    ``payload.spec`` is the decoder's :class:`DecodeSpec` and
-    ``payload.batch`` picks the batched kernels over the per-candidate
-    scalar path (identical outputs).  Returns the decoded DCIs and the
-    attempt count.
+    ``payload.spec`` is the decoder's :class:`DecodeSpec`.  Returns the
+    decoded DCIs and the attempt count.
     """
     decoder = GridDciDecoder(payload.spec)
-    if payload.batch:
-        decoded = decoder.decode_slot_batch(
-            payload.grid, payload.slot_index, payload.tracked)
-    else:
-        decoded = decoder.decode_slot(
-            payload.grid, payload.slot_index, payload.tracked)
+    decoded = decoder.decode_slot_batch(
+        payload.grid, payload.slot_index, payload.tracked)
     return decoded, decoder.attempts
 
 

@@ -75,23 +75,19 @@ class GridDecodePayload:
     grid: ResourceGrid
     slot_index: int
     tracked: Mapping[int, TrackedUe]
-    batch: bool = True
 
     def __reduce__(self):
         return _grid_payload_from_wire, (
             self.spec, pack_grid_for_decode(self.grid, self.tracked),
-            self.slot_index, pack_tracked_for_decode(self.tracked),
-            self.batch)
+            self.slot_index, pack_tracked_for_decode(self.tracked))
 
 
 def _grid_payload_from_wire(spec: DecodeSpec, grid: dict, slot_index: int,
-                            tracked: bytes,
-                            batch: bool) -> GridDecodePayload:
+                            tracked: bytes) -> GridDecodePayload:
     """Worker-side inverse of :meth:`GridDecodePayload.__reduce__`."""
     return GridDecodePayload(
         spec=spec, grid=unpack_grid_for_decode(grid),
-        slot_index=slot_index, tracked=unpack_tracked_for_decode(tracked),
-        batch=batch)
+        slot_index=slot_index, tracked=unpack_tracked_for_decode(tracked))
 
 
 #: Probability the sniffer's one-off RRC Setup PDSCH decode succeeds at
@@ -135,7 +131,6 @@ class NRScope:
                  executor: str | Executor = "inline",
                  queue_depth: int = 256,
                  slot_budget_s: float | None = None,
-                 batch_kernels: bool = True,
                  sanitizer: Sanitizer | None = None,
                  obs: AnyObsContext | None = None,
                  cell: str | None = None) -> None:
@@ -206,11 +201,6 @@ class NRScope:
         # (per-UE DCI decode) is a pure job, safe to run out of order;
         # the sink commits telemetry in slot order behind the runtime's
         # reorder buffer.
-        #: Batched PHY kernels: stack every candidate of the slot
-        #: through vectorized gather/demod/descramble/polar instead of
-        #: per-candidate scalar calls (bit-identical outputs; ablatable
-        #: for the Fig 12 / bench comparison).
-        self.batch_kernels = batch_kernels
         self._runtime = SlotRuntime(
             stages=[
                 Stage("sync", self._stage_sync),
@@ -609,8 +599,7 @@ class NRScope:
             assert self._grid_decoder is not None
             return grid_decode_job, GridDecodePayload(
                 spec=self._grid_decoder.spec, grid=ctx.grid,
-                slot_index=output.slot.index, tracked=ctx.tracked,
-                batch=self.batch_kernels)
+                slot_index=output.slot.index, tracked=ctx.tracked)
         rec = self._record_decoder
         assert rec is not None
         return record_decode_job, {

@@ -32,6 +32,7 @@ this module dependency-free below numpy.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -317,7 +318,9 @@ class TelemetryStore:
         """Write the store as chunked ``.npy`` segments plus a manifest.
 
         Returns the number of rows written.  The directory is created;
-        existing segment files are overwritten.
+        existing segment files are overwritten.  The manifest lands via
+        a temp file + ``os.replace``, so a crash mid-write never leaves
+        a half-written manifest behind.
         """
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
@@ -337,20 +340,37 @@ class TelemetryStore:
             "rows": self._count,
             "segments": names,
         }
-        (target / "manifest.json").write_text(
+        manifest_path = target / "manifest.json"
+        scratch = manifest_path.with_suffix(".json.tmp")
+        scratch.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
+        os.replace(scratch, manifest_path)
         return self._count
 
     @classmethod
     def read_segments(cls, directory: str | Path) -> "TelemetryStore":
-        """Reload a store written by :meth:`write_segments`."""
+        """Reload a store written by :meth:`write_segments`.
+
+        A missing, unreadable or inconsistent manifest or segment raises
+        :class:`TelemetryStoreError` naming the file.
+        """
         target = Path(directory)
         manifest_path = target / "manifest.json"
         if not manifest_path.exists():
             raise TelemetryStoreError(
                 f"no segment manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(
+                manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise TelemetryStoreError(
+                f"corrupt segment manifest {manifest_path}: {exc}") \
+                from exc
+        if not isinstance(manifest, dict):
+            raise TelemetryStoreError(
+                f"corrupt segment manifest {manifest_path}: "
+                f"not a JSON object")
         if manifest.get("schema") != SEGMENT_SCHEMA:
             raise TelemetryStoreError(
                 f"unknown segment schema: {manifest.get('schema')!r}")
@@ -359,12 +379,16 @@ class TelemetryStore:
                    for n in RECORD_DTYPE.names or ()]
         if declared != current:
             raise TelemetryStoreError(
-                "segment dtype does not match RECORD_DTYPE "
-                f"(found {declared!r})")
+                f"segment dtype in {manifest_path} does not match "
+                f"RECORD_DTYPE (found {declared!r})")
         store = cls(chunk_rows=int(manifest.get(
             "chunk_rows", DEFAULT_CHUNK_ROWS)))
         for name in manifest.get("segments", []):
-            part = np.load(target / name)
+            try:
+                part = np.load(target / name)
+            except (OSError, ValueError, EOFError) as exc:
+                raise TelemetryStoreError(
+                    f"unreadable segment {target / name}: {exc}") from exc
             if part.dtype != RECORD_DTYPE:
                 raise TelemetryStoreError(
                     f"segment {name} has dtype {part.dtype}")

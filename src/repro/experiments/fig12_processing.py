@@ -6,23 +6,28 @@ one or four DCI threads, on the Amarisoft cell (20 MHz) and a T-Mobile
 cell (10 MHz), and finds a linear trend in the UE count.
 
 This module measures the same quantities on the *shared* slot runtime —
-the same :class:`~repro.core.runtime.SlotRuntime` stages and decode job
-NR-Scope runs in production, with the per-stage means read out of its
-:class:`~repro.core.runtime.RuntimeStats` — not a private harness.  The
-paper's one DCI thread is the inline executor and its four DCI threads
-are ``process:4``; the GIL leaves Python threads nothing to win back
-(EXPERIMENTS.md discusses the deviation), and the linear-in-m trend is
-the portable result.
+the same :class:`~repro.core.runtime.SlotRuntime` stages and batched
+decode job NR-Scope runs in production, with the per-stage means read
+out of its :class:`~repro.core.runtime.RuntimeStats` — not a private
+harness.  The paper's one DCI thread is the inline executor and its
+four DCI threads are ``process:4``; the GIL leaves Python threads
+nothing to win back (EXPERIMENTS.md discusses the deviation), and the
+linear-in-m trend is the portable result.  :func:`measure` is also the
+one measurement behind ``BENCH_fig12.json``
+(:mod:`repro.experiments.bench_fig12`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.dci_decoder import DecodeSpec, grid_decode_job
 from repro.core.rach_sniffer import RachSniffer
-from repro.core.runtime import Executor, InlineExecutor, ProcessExecutor, \
-    SlotContext, SlotRuntime, Stage
+from repro.core.runtime import Executor, SlotContext, SlotRuntime, Stage, \
+    build_executor
 from repro.core.scope import GridDecodePayload
 from repro.experiments.common import ExperimentError, FigureResult
 from repro.gnb.cell_config import AMARISOFT_PROFILE, CellProfile, \
@@ -52,12 +57,22 @@ class Workload:
 
 @dataclass(frozen=True)
 class TimingRow:
-    """One point of Fig 12."""
+    """One point of Fig 12.
+
+    ``mean_us`` is the figure's quantity: the demod and DCI stage means
+    summed.  ``mean_slot_us`` is wall time over the timed slots (flush
+    included) per slot — it credits cross-slot pipelining, which is what
+    a multi-core executor buys.  ``p95_slot_us`` is the 95th percentile
+    of per-slot decode compute time.
+    """
 
     profile: str
     n_ues: int
-    n_threads: int           # the paper's DCI threads (see executor_for)
+    n_threads: int           # the paper's DCI threads (see executor_spec)
     mean_us: float
+    mean_slot_us: float
+    p95_slot_us: float
+    decoded_per_slot: int
 
 
 def build_workload(profile: CellProfile, n_ues: int,
@@ -107,19 +122,17 @@ def build_workload(profile: CellProfile, n_ues: int,
 
 
 def build_runtime(workload: Workload, executor: Executor,
-                  noise_var: float = 1e-3, batch: bool = False,
-                  latencies: list | None = None,
-                  decoded_counts: list | None = None) -> SlotRuntime:
+                  latencies: list[float],
+                  decoded_counts: list[int]) -> SlotRuntime:
     """The production stage graph over a fixed workload: OFDM
     demodulation on the backbone, the candidate search as the parallel
     stage's decode job (byte-identical results on every executor).
 
-    ``batch`` selects the vectorized kernel path.
-    ``latencies``/``decoded_counts`` are optional per-slot collectors
-    the bench harness reads (appended by a sink, so in slot order).
+    A sink appends each slot's decode compute time to ``latencies`` and
+    its decoded DCI count to ``decoded_counts``, in slot order.
     """
     spec = DecodeSpec(dci_cfg=workload.profile.dci_size_config(),
-                      n_id=workload.profile.cell_id, noise_var=noise_var)
+                      n_id=workload.profile.cell_id, noise_var=1e-3)
 
     def demod(ctx: SlotContext) -> None:
         ctx.grid = demodulate_slot(workload.samples, workload.ofdm)
@@ -127,52 +140,75 @@ def build_runtime(workload: Workload, executor: Executor,
     def pack(ctx: SlotContext):
         return grid_decode_job, GridDecodePayload(
             spec=spec, grid=ctx.grid, slot_index=workload.slot_index,
-            tracked=workload.tracked, batch=batch)
+            tracked=workload.tracked)
 
     def merge(ctx: SlotContext, result) -> None:
         ctx.decoded, _ = result
 
-    stages = [Stage("demod", demod),
-              Stage("dci", pack=pack, merge=merge)]
-    if latencies is not None or decoded_counts is not None:
+    def collect(ctx: SlotContext) -> None:
+        latencies.append(ctx.decode_time_s)
+        decoded_counts.append(len(ctx.decoded))
 
-        def collect(ctx: SlotContext) -> None:
-            if latencies is not None:
-                latencies.append(ctx.decode_time_s)
-            if decoded_counts is not None:
-                decoded_counts.append(len(ctx.decoded))
-
-        stages.append(Stage("collect", collect, sink=True))
-    return SlotRuntime(stages=stages, executor=executor)
+    return SlotRuntime(stages=[Stage("demod", demod),
+                               Stage("dci", pack=pack, merge=merge),
+                               Stage("collect", collect, sink=True)],
+                       executor=executor)
 
 
-def executor_for(n_threads: int) -> Executor:
-    """Map the paper's DCI thread count onto a runtime executor: one
-    thread is the deterministic inline path, N run as N worker
+def executor_spec(n_threads: int) -> str:
+    """Map the paper's DCI thread count onto a runtime executor spec:
+    one thread is the deterministic inline path, N run as N worker
     processes."""
-    if n_threads <= 1:
-        return InlineExecutor()
-    return ProcessExecutor(n_workers=n_threads)
+    return "inline" if n_threads <= 1 else f"process:{n_threads}"
 
 
 def measure(profile: CellProfile, n_ues: int, n_threads: int,
             n_slots: int = 3) -> TimingRow:
-    """Mean per-slot processing time over ``n_slots`` repetitions,
-    after enough warm-up slots to bring every worker's caches up."""
+    """Time ``n_slots`` identical slots of the Fig 12 workload.
+
+    Warm-up slots bring up executor workers (process spawn, cache fill)
+    before the timed window; stats are reset in between.  A pool gets
+    enough warm-up slots for *every* worker to spawn and fill its
+    kernel caches — with too few, the round-robin leaves some workers
+    cold and their first-job compile cost lands inside the timed
+    window.  The timed run must drop no slot and decode the same DCI
+    count in every slot, or the row would compare unequal work.
+    """
     workload = build_workload(profile, n_ues)
-    runtime = build_runtime(workload, executor_for(n_threads))
+    spec = executor_spec(n_threads)
+    latencies: list[float] = []
+    decoded_counts: list[int] = []
+    runtime = build_runtime(workload, build_executor(spec), latencies,
+                            decoded_counts)
     warmup_slots = 1 if n_threads <= 1 else 1 + 3 * n_threads
     for _ in range(warmup_slots):
         runtime.submit(None)
     runtime.flush()
     runtime.reset_stats()
+    latencies.clear()
+    decoded_counts.clear()
+    start = time.perf_counter()
     for _ in range(n_slots):
         runtime.submit(None)
+    runtime.flush()
+    wall_s = time.perf_counter() - start
     runtime.close()
     stats = runtime.stats()
-    mean_us = stats.stage("demod").mean_us + stats.stage("dci").mean_us
-    return TimingRow(profile=profile.name, n_ues=n_ues,
-                     n_threads=n_threads, mean_us=mean_us)
+    if stats.slots_dropped:
+        raise ExperimentError(
+            f"{spec} dropped {stats.slots_dropped} slots at queue depth "
+            f"({n_ues} UEs); Fig 12 must time a drop-free run")
+    counts = set(decoded_counts)
+    if len(counts) != 1:
+        raise ExperimentError(
+            f"{spec} decoded varying DCI counts over identical slots "
+            f"({n_ues} UEs): {sorted(counts)}")
+    return TimingRow(
+        profile=profile.name, n_ues=n_ues, n_threads=n_threads,
+        mean_us=stats.stage("demod").mean_us + stats.stage("dci").mean_us,
+        mean_slot_us=1e6 * wall_s / n_slots,
+        p95_slot_us=1e6 * float(np.percentile(latencies, 95)),
+        decoded_per_slot=decoded_counts[0])
 
 
 def run(ue_counts: tuple[int, ...] = UE_COUNTS,

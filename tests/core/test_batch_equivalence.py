@@ -1,31 +1,79 @@
-"""decode_slot_batch is a drop-in for decode_slot, bit for bit.
+"""decode_slot_batch matches the per-candidate scalar search, bit for bit.
 
 The batched decoder reorders work (gather waves, joint polar decodes,
-batch CRC) but must reproduce the scalar path's *decisions* exactly:
-same decoded DCIs in the same order, same attempt count, same claimed
-CCEs — under every ablation toggle and under noise.  The slim process
-wire forms (control-region grid slice + content-addressed search-space
-blob) must likewise be invisible to the decode.
+batch CRC) but must reproduce the decisions of :func:`scalar_decode_slot`
+— the reference loop that tries one candidate and format at a time
+through :func:`repro.phy.pdcch.try_decode_pdcch` — exactly: same decoded
+DCIs in the same order, same attempt count, same claimed CCEs, under
+every ablation toggle and under noise.  The slim process wire forms
+(control-region grid slice + content-addressed search-space blob) must
+likewise be invisible to the decode.
 """
 
 import pickle
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dci_decoder import DecodeSpec, GridDciDecoder, \
-    _SPACES_CACHE, _ue_entry_plan, grid_decode_job, pack_grid_for_decode, \
-    pack_tracked_for_decode, unpack_grid_for_decode, \
-    unpack_tracked_for_decode
-from repro.core.rach_sniffer import RachSniffer
+from repro.core.dci_decoder import DecodedDci, DecodeSpec, \
+    GridDciDecoder, _SPACES_CACHE, _ue_entry_plan, grid_decode_job, \
+    pack_grid_for_decode, pack_tracked_for_decode, \
+    unpack_grid_for_decode, unpack_tracked_for_decode
+from repro.core.rach_sniffer import RachSniffer, TrackedUe
 from repro.core.scope import GridDecodePayload
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.phy.dci import Dci, DciFormat, riv_encode
-from repro.phy.pdcch import PdcchCandidate, encode_pdcch
+from repro.phy.pdcch import PdcchCandidate, candidate_occupied, \
+    encode_pdcch, try_decode_pdcch
 from repro.phy.resource_grid import ResourceGrid
 from repro.rrc.messages import RrcSetup
+
+
+def scalar_decode_slot(spec: DecodeSpec, grid: ResourceGrid,
+                       slot_index: int, tracked: dict[int, TrackedUe],
+                       claimed: set[int] | None = None) \
+        -> tuple[list[DecodedDci], int]:
+    """The oracle: search every tracked UE's candidates one at a time.
+
+    ``claimed``, when given, seeds the CCE claims and receives the
+    CCEs of every decoded DCI.  Returns the decoded DCIs and the
+    attempt count.
+    """
+    decoded: list[DecodedDci] = []
+    attempts = 0
+    if claimed is None:
+        claimed = set()
+    for rnti in sorted(tracked):
+        ue = tracked[rnti]
+        space = ue.search_space
+        for level, count in space.candidates_per_level.items():
+            if count == 0:
+                continue
+            for start in space.candidate_cces(level, slot_index, rnti):
+                cces = frozenset(range(start, start + level))
+                if spec.use_cce_claiming and cces & claimed:
+                    continue
+                candidate = PdcchCandidate(first_cce=start,
+                                           aggregation_level=level)
+                if spec.use_energy_gate and not candidate_occupied(
+                        grid, space.coreset, candidate,
+                        spec.noise_var):
+                    continue
+                for fmt in (DciFormat.DL_1_1, DciFormat.UL_0_1):
+                    attempts += 1
+                    dci = try_decode_pdcch(
+                        grid, spec.dci_cfg, space.coreset, candidate,
+                        fmt, rnti, spec.n_id, spec.noise_var,
+                        slot_index=slot_index,
+                        equalize=spec.equalize)
+                    if dci is not None:
+                        decoded.append(DecodedDci(
+                            dci=dci, aggregation_level=level))
+                        if spec.use_cce_claiming:
+                            claimed.update(cces)
+                        break
+    return decoded, attempts
 
 
 def build_tracked(n_ues=3):
@@ -89,25 +137,23 @@ class TestBatchMatchesScalar:
                           noise_var=noise_var, seed=seed)
         kwargs = dict(noise_var=max(noise_var, 1e-3),
                       use_energy_gate=gate, use_cce_claiming=claim)
-        scalar = make_decoder(**kwargs)
         batched = make_decoder(**kwargs)
         claimed_s: set = set()
         claimed_b: set = set()
-        out_s = scalar.decode_slot(grid, slot_index, tracked,
-                                   claimed=claimed_s)
+        out_s, attempts_s = scalar_decode_slot(
+            batched.spec, grid, slot_index, tracked, claimed=claimed_s)
         out_b = batched.decode_slot_batch(grid, slot_index, tracked,
                                           claimed=claimed_b)
         assert out_b == out_s
-        assert batched.attempts == scalar.attempts
+        assert batched.attempts == attempts_s
         assert claimed_b == claimed_s
 
     def test_equalize_path_matches(self):
         tracked = build_tracked(3)
         grid = build_slot(tracked, slot_index=4, noise_var=1e-3, seed=1)
         grid.data *= 0.8 * np.exp(1j * 0.3)
-        scalar = make_decoder(equalize=True)
         batched = make_decoder(equalize=True)
-        out_s = scalar.decode_slot(grid, 4, tracked)
+        out_s, _ = scalar_decode_slot(batched.spec, grid, 4, tracked)
         out_b = batched.decode_slot_batch(grid, 4, tracked)
         assert out_b == out_s
         assert len(out_s) == 3
@@ -139,16 +185,13 @@ class TestSlimWireForms:
                               grid.occupancy[:, :n_sym])
         assert not rebuilt.data[:, n_sym:].any()
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_slim_job_matches_inline_decode(self, batch):
+    def test_slim_job_matches_inline_decode(self):
         tracked = build_tracked(4)
         grid = build_slot(tracked, slot_index=7, noise_var=1e-3, seed=3)
         decoder = make_decoder()
-        inline = decoder.decode_slot_batch(grid, 7, tracked) if batch \
-            else decoder.decode_slot(grid, 7, tracked)
+        inline = decoder.decode_slot_batch(grid, 7, tracked)
         payload = GridDecodePayload(spec=decoder.spec, grid=grid,
-                                    slot_index=7, tracked=tracked,
-                                    batch=batch)
+                                    slot_index=7, tracked=tracked)
         wired = pickle.loads(pickle.dumps(payload))
         # the worker-side payload holds the slim forms, not the live ones
         assert wired.grid is not grid and wired.tracked is not tracked

@@ -54,15 +54,13 @@ def build_slot(tracked, slot_index=4):
 
 
 class TestDecodeJob:
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_job_decodes_every_encoded_dci(self, batch):
+    def test_job_decodes_every_encoded_dci(self):
         tracked = build_tracked(3)
         grid, encoded = build_slot(tracked)
         spec = DecodeSpec(dci_cfg=SRSRAN_PROFILE.dci_size_config(),
                           n_id=SRSRAN_PROFILE.cell_id, noise_var=1e-3)
         decoded, attempts = grid_decode_job(GridDecodePayload(
-            spec=spec, grid=grid, slot_index=4, tracked=tracked,
-            batch=batch))
+            spec=spec, grid=grid, slot_index=4, tracked=tracked))
         assert len(decoded) == encoded
         assert attempts >= encoded
 

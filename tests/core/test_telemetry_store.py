@@ -7,7 +7,9 @@ record batches and a seeded end-to-end sniff session.
 """
 
 import math
+import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +244,32 @@ class TestKernelsAgainstReference:
         assert store.time_extents(1234) is None
 
 
+def _foreign_dtype(seg):
+    manifest = seg / "manifest.json"
+    manifest.write_text(
+        manifest.read_text().replace("slot_index", "slot_xndex"))
+    return "manifest.json"
+
+
+def _truncated_segment(seg):
+    segment = seg / "segment-00000.npy"
+    data = segment.read_bytes()
+    segment.write_bytes(data[:len(data) // 2])
+    return segment.name
+
+
+def _missing_segment(seg):
+    (seg / "segment-00001.npy").unlink()
+    return "segment-00001.npy"
+
+
+def _half_written_manifest(seg):
+    manifest = seg / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text[:len(text) // 2])
+    return "manifest.json"
+
+
 class TestPersistence:
     def test_segments_roundtrip(self, tmp_path):
         rows = [make_row(slot=i, time_s=i * 1e-3, tbs=i, rnti=5 + i % 3)
@@ -252,15 +280,42 @@ class TestPersistence:
         assert loaded.table().tolist() == store.table().tolist()
         assert loaded.rntis() == store.rntis()
 
-    def test_segments_reject_foreign_dtype(self, tmp_path):
+    @pytest.mark.parametrize("corrupt", [
+        _foreign_dtype, _truncated_segment, _missing_segment,
+        _half_written_manifest,
+    ], ids=["foreign_dtype", "truncated_segment", "missing_segment",
+            "half_written_manifest"])
+    def test_segments_reject_corruption(self, tmp_path, corrupt):
+        store = fill(TelemetryStore(chunk_rows=4),
+                     [make_row() for _ in range(6)])
+        store.write_segments(tmp_path / "seg")
+        name = corrupt(tmp_path / "seg")
+        # A typed error that names the damaged file.
+        with pytest.raises(TelemetryStoreError, match=re.escape(name)):
+            TelemetryStore.read_segments(tmp_path / "seg")
+
+    def test_manifest_lands_whole_or_not_at_all(self, tmp_path,
+                                                monkeypatch):
         store = fill(TelemetryStore(chunk_rows=4),
                      [make_row() for _ in range(3)])
         store.write_segments(tmp_path / "seg")
-        manifest = (tmp_path / "seg" / "manifest.json")
-        text = manifest.read_text().replace("slot_index", "slot_xndex")
-        manifest.write_text(text)
-        with pytest.raises(TelemetryStoreError):
-            TelemetryStore.read_segments(tmp_path / "seg")
+        manifest = tmp_path / "seg" / "manifest.json"
+        before = manifest.read_text()
+        store.append(**make_row(slot=9))
+
+        def crash(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            store.write_segments(tmp_path / "seg")
+        # The new manifest never replaced the old one.
+        assert manifest.read_text() == before
+        monkeypatch.undo()
+        store.write_segments(tmp_path / "seg")
+        assert sorted(p.name for p in manifest.parent.iterdir()) == \
+            ["manifest.json", "segment-00000.npy"]
+        assert len(TelemetryStore.read_segments(manifest.parent)) == 4
 
     def test_pickle_roundtrip_keeps_rows_and_queries(self):
         rows = [make_row(slot=i, time_s=i * 0.1, tbs=50 * i,

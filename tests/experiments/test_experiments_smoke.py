@@ -8,6 +8,7 @@ code path (series construction, summaries, table rendering) quickly.
 import pytest
 
 from repro.experiments import (
+    bench_fig12,
     ext_congestion,
     ext_uplink,
     fig07_dci_miss,
@@ -92,6 +93,31 @@ class TestFig12:
         with pytest.raises(Exception):
             fig12_processing.build_workload(
                 fig12_processing.AMARISOFT_PROFILE, 0)
+
+    def test_measure_decodes_every_encoded_dci(self):
+        profile = fig12_processing.AMARISOFT_PROFILE
+        workload = fig12_processing.build_workload(profile, 4)
+        row = fig12_processing.measure(profile, 4, 1, n_slots=2)
+        assert row.decoded_per_slot == workload.n_encoded > 0
+        assert row.mean_slot_us > 0 and row.p95_slot_us > 0
+
+
+class TestBenchFig12:
+    @pytest.fixture(scope="class")
+    def doc(self):
+        profile = fig12_processing.AMARISOFT_PROFILE
+        row = fig12_processing.measure(profile, 1, 1, n_slots=1)
+        return bench_fig12.to_document([row], (1,), 1, profile)
+
+    def test_inline_run_is_a_valid_v2_document(self, doc):
+        bench_fig12.validate_bench(doc)
+        assert doc["schema"] == "bench-fig12/v2"
+        assert [c["executor"] for c in doc["configs"]] == ["inline"]
+        assert "inline" in bench_fig12.render(doc)
+
+    def test_v1_document_rejected(self, doc):
+        with pytest.raises(ExperimentError, match="schema"):
+            bench_fig12.validate_bench({**doc, "schema": "bench-fig12/v1"})
 
 
 class TestFig13:
