@@ -30,20 +30,33 @@ from repro.core.decode_model import counter_uniform, decode_succeeds, \
 from repro.core.rach_sniffer import TrackedUe
 from repro.core.sanitizer import parallel_stage
 from repro.phy import polar
-from repro.phy.coreset import SearchSpace
+from repro.phy.coreset import Coreset, SearchSpace
 from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
     dci_payload_size, unpack
 from repro.phy.modulation import QPSK, demodulate_soft_batch
 from repro.phy.numerology import slots_per_frame
 from repro.phy.pdcch import BITS_PER_CCE, PdcchCandidate, \
-    candidate_energies_batch, candidate_occupied, dci_crc_check_batch, \
+    candidate_energies_batch, candidate_occupied, dci_recover_rnti_batch, \
     estimate_channel, gather_candidates_batch, occupancy_threshold
+# Re-exported under the decoder's name: perfbench's ``phy.crc`` probe
+# wraps ``repro.core.dci_decoder.dci_crc_check_batch``.  The grid search
+# no longer calls it (each block's RNTI is recovered once instead), so
+# that probe reads 0.
+from repro.phy.pdcch import dci_crc_check_batch  # noqa: F401
 from repro.phy.resource_grid import ResourceGrid
 from repro.phy.scrambling import descramble_llrs, pdcch_scrambling_init
 from repro.gnb.gnb import DciRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scope import GridDecodePayload
+
+
+#: The DCI formats every UE-space candidate is tried with, in order.
+_FORMATS = (DciFormat.DL_1_1, DciFormat.UL_0_1)
+
+#: A candidate position as the grid decode keys it: (CORESET, level,
+#: first CCE, scrambling ``c_init``) fixes the candidate's channel bits.
+_Position = tuple[Coreset, int, int, int]
 
 
 class DciDecoderError(ValueError):
@@ -218,21 +231,6 @@ class GridDciDecoder:
         self.spec = spec
         self.attempts = 0
 
-    #: Wave sizing for the batched path.  Waves are cut by the
-    #: CCE-claiming replay: a successful decode claims CCEs and may
-    #: disqualify later candidates, so decoding *everything* up front
-    #: wastes work proportional to the tracked-UE count.  A wave decodes
-    #: the next chunk of still-eligible candidates under the claims
-    #: known so far; wave members a new claim later skips are bounded
-    #: waste (< one wave per success).  Waves grow geometrically: when
-    #: claiming terminates the search early only a few small waves ran,
-    #: while a gate-off full sweep quickly reaches the wide, fully
-    #: amortized batches.
-    BATCH_WAVE_INITIAL = 4
-    BATCH_WAVE_MAX = 64
-    #: Entries per lazy gather/energy chunk (Phase 2).
-    BATCH_GATHER_CHUNK = 64
-
     def decode_slot_batch(self, grid: ResourceGrid, slot_index: int,
                           tracked: dict[int, TrackedUe],
                           claimed: set[int] | None = None) \
@@ -247,13 +245,21 @@ class GridDciDecoder:
         ``claimed``, when given, seeds the CCE claims and receives the
         CCEs of every decoded DCI.
 
-        Candidates are stacked through the batched gather / demod /
-        descramble / polar kernels in claim-aware waves, then that
-        control flow is *replayed* over the precomputed blocks.  The
-        decisions are bit-identical to a per-candidate loop over
+        A candidate's channel bits depend only on its position —
+        (CORESET, level, first CCE) — and the scrambling ``c_init``;
+        the RNTI enters only at the CRC.  So every distinct position
+        the search can reach (valid, not in the initial claims, above
+        the energy gate) is gathered, demodulated, descrambled and
+        polar-decoded once, in one joint polar pass per aggregation
+        level, and each decoded block's RNTI is recovered from its CRC
+        once (:func:`~repro.phy.pdcch.dci_recover_rnti_batch`).  The
+        search's control flow is then *replayed* over those blocks,
+        where an attempt's CRC check is ``recovered == rnti``.  Position
+        work is bounded by the CORESET, not by the tracked-UE count.
+        The decisions are bit-identical to a per-candidate loop over
         :func:`~repro.phy.pdcch.try_decode_pdcch` (the test-suite
         oracle in ``tests/core/test_batch_equivalence.py``); only the
-        numpy dispatch count differs.
+        amount of work differs.
         """
         spec = self.spec
         decoded: list[DecodedDci] = []
@@ -268,12 +274,12 @@ class GridDciDecoder:
         # skeletons come from the frame-periodic plan cache (the hash
         # only depends on the slot within its frame).
         reduced_slot = slot_index % slots_per_frame(30)
-        entries: list[tuple[int, int, int, object, bool, int]] = []
+        entries: list[tuple[int, int, int, Coreset, bool, int]] = []
         for rnti in sorted(tracked):
             space = tracked[rnti].search_space
             for level, start, valid, cce_bits in _ue_entry_plan(
                     space, rnti, reduced_slot):
-                entries.append((rnti, level, start, space, valid,
+                entries.append((rnti, level, start, space.coreset, valid,
                                 cce_bits))
         if not entries:
             return decoded
@@ -281,170 +287,109 @@ class GridDciDecoder:
         for cce in claimed:
             claimed_bits |= 1 << cce
 
-        # Phase 2: per-(CORESET, level) batched gather and energies,
-        # computed lazily over chunks of consecutive entries.  Once
-        # claiming saturates the CORESET the replay skips the tail on
-        # claim bits alone, so at high tracked-UE counts most
-        # candidates are never gathered at all (the search checks
-        # claims before it touches the grid).  The
-        # gathered rows are kept for the waves, so symbols leave the
-        # grid exactly once.
-        threshold = occupancy_threshold(spec.noise_var)
-        energies = np.zeros(len(entries), dtype=np.float64)
-        values_by_idx: dict[int, np.ndarray] = {}
+        # Phase 2: the distinct positions the search can reach, grouped
+        # per (CORESET, level, c_init) for the gather and demod kernels.
         c_init = pdcch_scrambling_init(spec.n_id)
-        gather_upto = 0
+        groups: dict[tuple[Coreset, int, int], dict[int, None]] = {}
+        for _, level, start, coreset, valid, cce_bits in entries:
+            if valid and not (spec.use_cce_claiming
+                              and cce_bits & claimed_bits):
+                groups.setdefault((coreset, level, c_init),
+                                  {})[start] = None
 
-        def ensure_gathered(upto: int) -> None:
-            """Gather + energy-measure entries up to at least ``upto``
-            (one chunk ahead, grouped per (CORESET, level))."""
-            nonlocal gather_upto
-            if upto < gather_upto:
-                return
-            hi = min(len(entries),
-                     max(upto + 1, gather_upto + self.BATCH_GATHER_CHUNK))
-            chunk_groups: dict[tuple[object, int], list[int]] = {}
-            for idx in range(gather_upto, hi):
-                _, level, _, space, valid, _ = entries[idx]
-                if valid:
-                    chunk_groups.setdefault((space.coreset, level),
-                                            []).append(idx)
-            for (coreset, level), idxs in chunk_groups.items():
-                starts = np.array([entries[i][2] for i in idxs],
-                                  dtype=np.intp)
-                values = gather_candidates_batch(grid, coreset, level,
-                                                 starts)
-                energies[idxs] = candidate_energies_batch(values)
-                for row, i in enumerate(idxs):
-                    values_by_idx[i] = values[row]
-            gather_upto = hi
-
-        def eligible(idx: int) -> bool:
-            """Would the search demodulate entry ``idx`` under the
-            claims known right now?"""
-            _, _, _, _, valid, cce_bits = entries[idx]
-            if not valid:
-                return False
-            if spec.use_cce_claiming and cce_bits & claimed_bits:
-                return False
+        # Phase 3: gather, energy gate, demod and descramble per group.
+        # ``reached`` holds every position the replay may attempt.
+        threshold = occupancy_threshold(spec.noise_var)
+        reached: set[_Position] = set()
+        llrs_by_level: dict[int, list[tuple[list[_Position],
+                                            np.ndarray]]] = {}
+        for (coreset, level, key_c_init), start_set in groups.items():
+            starts = np.fromiter(start_set, dtype=np.intp,
+                                 count=len(start_set))
+            values = gather_candidates_batch(grid, coreset, level, starts)
             if spec.use_energy_gate:
-                ensure_gathered(idx)
-                if not energies[idx] > threshold:
-                    return False
-            return True
-
-        blocks: dict[tuple[int, DciFormat], np.ndarray] = {}
-        crc_ok: dict[tuple[int, DciFormat], bool] = {}
-        demodulated: set[int] = set()
-        wave_size = self.BATCH_WAVE_INITIAL
-
-        def decode_wave(from_idx: int) -> None:
-            """Batch-demodulate and polar-decode the next eligible
-            chunk starting at ``from_idx`` (Phases 3+4, per wave)."""
-            nonlocal wave_size
-            wave: list[int] = []
-            for idx in range(from_idx, len(entries)):
-                if idx in demodulated or not eligible(idx):
+                passed = candidate_energies_batch(values) > threshold
+                starts, values = starts[passed], values[passed]
+                if not starts.size:
                     continue
-                ensure_gathered(idx)  # demod values when the gate is off
-                wave.append(idx)
-                if len(wave) >= wave_size:
-                    break
-            wave_size = min(wave_size * 2, self.BATCH_WAVE_MAX)
-            demodulated.update(wave)
-            # Phase 3: batched demod + descramble per (CORESET, level).
-            wave_groups: dict[tuple[object, int], list[int]] = {}
-            for idx in wave:
-                _, level, _, space, _, _ = entries[idx]
-                wave_groups.setdefault((space.coreset, level),
-                                       []).append(idx)
-            llrs_by_idx: dict[int, np.ndarray] = {}
-            for (coreset, level), idxs in wave_groups.items():
-                sub = np.stack([values_by_idx[i] for i in idxs])
-                if spec.equalize:
-                    gains = np.array(
-                        [estimate_channel(
-                            grid, coreset,
-                            PdcchCandidate(first_cce=entries[i][2],
-                                           aggregation_level=level),
-                            spec.n_id, slot_index) for i in idxs],
-                        dtype=np.complex128)
-                    sub = sub / gains[:, None]
-                    # Demodulating at unit noise then dividing per row
-                    # is the scalar (d1-d0)/noise_var to the last bit:
-                    # x/1.0 is exact, so each LLR still sees one
-                    # division by its effective noise variance.
-                    nv_eff = np.maximum(
-                        spec.noise_var / np.maximum(np.abs(gains) ** 2,
-                                                    1e-9), 1e-12)
-                    llrs = demodulate_soft_batch(sub, QPSK, 1.0)
-                    llrs = llrs / nv_eff[:, None]
-                else:
-                    llrs = demodulate_soft_batch(
-                        sub, QPSK, max(spec.noise_var, 1e-12))
-                llrs = descramble_llrs(llrs, c_init)
-                for row, i in enumerate(idxs):
-                    llrs_by_idx[i] = llrs[row]
-            # Phase 4: batched polar per level — both DCI formats share
-            # the level's mother code, so they ride one joint SC
-            # traversal instead of one call per format.
-            for (_, level), idxs in wave_groups.items():
-                n_coded = level * BITS_PER_CCE
-                fmts = []
-                codes = []
-                for fmt in (DciFormat.DL_1_1, DciFormat.UL_0_1):
-                    k = dci_payload_size(fmt, spec.dci_cfg) + DCI_CRC_LEN
-                    if k <= n_coded:
-                        fmts.append(fmt)
-                        codes.append(polar.construct(k, n_coded))
-                if not fmts:
-                    continue
-                matrix = np.stack([llrs_by_idx[i] for i in idxs])
-                outs = polar.decode_batch_joint(matrix, tuple(codes))
-                # The CRC verdicts ride along in one GF(2) matrix
-                # product per format (identical booleans to the serial
-                # per-attempt check the replay used to run).
-                rntis = np.array([entries[i][0] for i in idxs],
-                                 dtype=np.int64)
-                for fmt, out in zip(fmts, outs):
-                    oks = dci_crc_check_batch(out, rntis)
-                    for row, i in enumerate(idxs):
-                        blocks[(i, fmt)] = out[row]
-                        crc_ok[(i, fmt)] = bool(oks[row])
+            if spec.equalize:
+                gains = np.array(
+                    [estimate_channel(
+                        grid, coreset,
+                        PdcchCandidate(first_cce=int(start),
+                                       aggregation_level=level),
+                        spec.n_id, slot_index) for start in starts],
+                    dtype=np.complex128)
+                values = values / gains[:, None]
+                # Demodulating at unit noise then dividing per row is
+                # the scalar (d1-d0)/noise_var to the last bit: x/1.0
+                # is exact, so each LLR still sees one division by its
+                # effective noise variance.
+                nv_eff = np.maximum(
+                    spec.noise_var / np.maximum(np.abs(gains) ** 2,
+                                                1e-9), 1e-12)
+                llrs = demodulate_soft_batch(values, QPSK, 1.0)
+                llrs = llrs / nv_eff[:, None]
+            else:
+                llrs = demodulate_soft_batch(
+                    values, QPSK, max(spec.noise_var, 1e-12))
+            llrs = descramble_llrs(llrs, key_c_init)
+            keys = [(coreset, level, int(start), key_c_init)
+                    for start in starts]
+            reached.update(keys)
+            llrs_by_level.setdefault(level, []).append((keys, llrs))
 
-        # Phase 5: replay the search's control flow, decoding lazily in
-        # claim-aware waves.
-        for idx, (rnti, level, start, _, valid, cce_bits) \
-                in enumerate(entries):
+        # Phase 4: one joint polar pass per level — every position and
+        # both DCI formats share the level's mother code — then one
+        # RNTI recovery per decoded block.
+        blocks: dict[tuple[_Position, DciFormat], np.ndarray] = {}
+        recovered: dict[tuple[_Position, DciFormat], int] = {}
+        for level, parts in llrs_by_level.items():
+            n_coded = level * BITS_PER_CCE
+            fmts = []
+            codes = []
+            for fmt in _FORMATS:
+                k = dci_payload_size(fmt, spec.dci_cfg) + DCI_CRC_LEN
+                if k <= n_coded:
+                    fmts.append(fmt)
+                    codes.append(polar.construct(k, n_coded))
+            if not fmts:
+                continue
+            keys = [key for part_keys, _ in parts for key in part_keys]
+            matrix = np.concatenate([llrs for _, llrs in parts])
+            outs = polar.decode_batch_joint(matrix, tuple(codes))
+            for fmt, out in zip(fmts, outs):
+                rntis = dci_recover_rnti_batch(out).tolist()
+                for row, key in enumerate(keys):
+                    blocks[(key, fmt)] = out[row]
+                    recovered[(key, fmt)] = rntis[row]
+
+        # Phase 5: replay the search's control flow over the blocks.
+        for rnti, level, start, coreset, valid, cce_bits in entries:
             if not valid:
                 if not spec.use_energy_gate:
                     attempts += 2  # both formats tried, both fail early
                 continue
             if spec.use_cce_claiming and cce_bits & claimed_bits:
                 continue
-            if spec.use_energy_gate:
-                ensure_gathered(idx)
-                if not energies[idx] > threshold:
-                    continue
-            if idx not in demodulated:
-                decode_wave(idx)
-            for fmt in (DciFormat.DL_1_1, DciFormat.UL_0_1):
+            key = (coreset, level, start, c_init)
+            if key not in reached:
+                continue  # below the energy gate
+            for fmt in _FORMATS:
                 attempts += 1
-                block = blocks.get((idx, fmt))
-                dci = None
-                if block is not None and crc_ok[(idx, fmt)]:
-                    try:
-                        dci = unpack(block[:-DCI_CRC_LEN], fmt,
-                                     spec.dci_cfg, rnti)
-                    except DciError:
-                        dci = None
-                if dci is not None:
-                    decoded.append(DecodedDci(dci=dci,
-                                              aggregation_level=level))
-                    if spec.use_cce_claiming:
-                        claimed_bits |= cce_bits
-                        claimed.update(range(start, start + level))
-                    break
+                if recovered.get((key, fmt)) != rnti:
+                    continue
+                try:
+                    dci = unpack(blocks[(key, fmt)][:-DCI_CRC_LEN], fmt,
+                                 spec.dci_cfg, rnti)
+                except DciError:
+                    continue
+                decoded.append(DecodedDci(dci=dci,
+                                          aggregation_level=level))
+                if spec.use_cce_claiming:
+                    claimed_bits |= cce_bits
+                    claimed.update(range(start, start + level))
+                break
         self.attempts += attempts
         return decoded
 

@@ -374,15 +374,29 @@ class TelemetryStore:
         if manifest.get("schema") != SEGMENT_SCHEMA:
             raise TelemetryStoreError(
                 f"unknown segment schema: {manifest.get('schema')!r}")
-        declared = [tuple(item) for item in manifest.get("dtype", [])]
+        dtype = manifest.get("dtype", [])
+        if not isinstance(dtype, list) \
+                or not all(isinstance(item, list) for item in dtype):
+            raise TelemetryStoreError(
+                f"corrupt segment manifest {manifest_path}: dtype "
+                f"{dtype!r} is not a list of [name, type] pairs")
+        declared = [tuple(item) for item in dtype]
         current = [(n, str(RECORD_DTYPE.fields[n][0]))
                    for n in RECORD_DTYPE.names or ()]
         if declared != current:
             raise TelemetryStoreError(
                 f"segment dtype in {manifest_path} does not match "
                 f"RECORD_DTYPE (found {declared!r})")
-        store = cls(chunk_rows=int(manifest.get(
-            "chunk_rows", DEFAULT_CHUNK_ROWS)))
+        try:
+            chunk_rows = int(manifest.get("chunk_rows",
+                                          DEFAULT_CHUNK_ROWS))
+            rows = None if "rows" not in manifest \
+                else int(manifest["rows"])
+        except (TypeError, ValueError) as exc:
+            raise TelemetryStoreError(
+                f"corrupt segment manifest {manifest_path}: {exc}") \
+                from exc
+        store = cls(chunk_rows=chunk_rows)
         for name in manifest.get("segments", []):
             try:
                 part = np.load(target / name)
@@ -393,9 +407,9 @@ class TelemetryStore:
                 raise TelemetryStoreError(
                     f"segment {name} has dtype {part.dtype}")
             store.extend_rows(part)
-        if len(store) != int(manifest.get("rows", len(store))):
+        if rows is not None and len(store) != rows:
             raise TelemetryStoreError(
-                f"manifest declares {manifest.get('rows')} rows, "
+                f"manifest declares {rows} rows, "
                 f"segments carry {len(store)}")
         return store
 

@@ -63,7 +63,11 @@ class TimingRow:
     summed.  ``mean_slot_us`` is wall time over the timed slots (flush
     included) per slot — it credits cross-slot pipelining, which is what
     a multi-core executor buys.  ``p95_slot_us`` is the 95th percentile
-    of per-slot decode compute time.
+    of per-slot decode compute time.  ``cpu_slot_us`` is the median
+    per-slot CPU time of the submitting thread: the whole slot (demod
+    and decode) on the inline executor, only the backbone's share on a
+    process pool.  CPU time leaves out the time other processes on a
+    shared host take from the run, so it is the steadiest of the four.
     """
 
     profile: str
@@ -72,6 +76,7 @@ class TimingRow:
     mean_us: float
     mean_slot_us: float
     p95_slot_us: float
+    cpu_slot_us: float
     decoded_per_slot: int
 
 
@@ -187,9 +192,12 @@ def measure(profile: CellProfile, n_ues: int, n_threads: int,
     runtime.reset_stats()
     latencies.clear()
     decoded_counts.clear()
+    cpu_s: list[float] = []
     start = time.perf_counter()
     for _ in range(n_slots):
+        cpu_start = time.thread_time()
         runtime.submit(None)
+        cpu_s.append(time.thread_time() - cpu_start)
     runtime.flush()
     wall_s = time.perf_counter() - start
     runtime.close()
@@ -208,6 +216,7 @@ def measure(profile: CellProfile, n_ues: int, n_threads: int,
         mean_us=stats.stage("demod").mean_us + stats.stage("dci").mean_us,
         mean_slot_us=1e6 * wall_s / n_slots,
         p95_slot_us=1e6 * float(np.percentile(latencies, 95)),
+        cpu_slot_us=1e6 * float(np.median(cpu_s)),
         decoded_per_slot=decoded_counts[0])
 
 

@@ -79,26 +79,16 @@ def dci_crc_check_batch(blocks: np.ndarray,
     """Row-wise :func:`dci_crc_check` over stacked payload+CRC blocks.
 
     ``blocks`` is ``(batch, k)`` and ``rntis`` gives each row's
-    hypothesised RNTI.  The parity bits come from one GF(2) matrix
-    product (:func:`~repro.phy.crc.crc_remainder_batch`), so the boolean
-    verdicts are bit-identical to the scalar check at a fraction of the
-    dispatch cost.
+    hypothesised RNTI.  A block passes exactly when
+    :func:`dci_recover_rnti_batch` recovers that RNTI from it, so the
+    boolean verdicts are bit-identical to the scalar check.
+
+    Layout: blocks (B, k) uint8
+    Layout: rntis (B) int64
+    Layout: return (B) bool
     """
-    arr = np.asarray(blocks, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise PdcchError(
-            f"expected stacked blocks, got shape {arr.shape}")
-    if arr.shape[1] <= DCI_CRC_LEN:
-        return np.zeros(arr.shape[0], dtype=bool)
-    payload, received = arr[:, :-DCI_CRC_LEN], arr[:, -DCI_CRC_LEN:]
-    prefix = np.broadcast_to(_CRC_PREFIX, (arr.shape[0], DCI_CRC_LEN))
-    expected = crc_remainder_batch(
-        np.concatenate([prefix, payload], axis=1), "crc24c")
-    rnti_arr = np.asarray(rntis, dtype=np.int64).reshape(-1, 1)
-    shifts = np.arange(15, -1, -1, dtype=np.int64)
-    rnti_bits = ((rnti_arr >> shifts) & 1).astype(np.uint8)
-    expected[:, -16:] ^= rnti_bits
-    return np.all(expected == received, axis=1)
+    return dci_recover_rnti_batch(blocks) \
+        == np.asarray(rntis, dtype=np.int64)
 
 
 def dci_recover_rnti(block: np.ndarray) -> int | None:
@@ -122,6 +112,35 @@ def dci_recover_rnti(block: np.ndarray) -> int | None:
     for bit in mask:
         value = (value << 1) | int(bit)
     return value
+
+
+def dci_recover_rnti_batch(blocks: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`dci_recover_rnti` over stacked payload+CRC blocks.
+
+    Every row's CRC remainder comes from one GF(2) matrix product
+    (:func:`~repro.phy.crc.crc_remainder_batch`) and none of it depends
+    on an RNTI hypothesis, so a block decoded once answers every
+    tracked RNTI's check: ``recovered == rnti`` is exactly
+    :func:`dci_crc_check`.  ``-1`` stands for the scalar's None (the
+    unmasked parity bits disagree, or the block has no payload).
+
+    Layout: blocks (B, k) uint8
+    Layout: return (B) int64
+    """
+    arr = np.asarray(blocks, dtype=np.uint8)
+    if arr.ndim != 2:
+        raise PdcchError(
+            f"expected stacked blocks, got shape {arr.shape}")
+    if arr.shape[1] <= DCI_CRC_LEN:
+        return np.full(arr.shape[0], -1, dtype=np.int64)
+    payload, received = arr[:, :-DCI_CRC_LEN], arr[:, -DCI_CRC_LEN:]
+    prefix = np.broadcast_to(_CRC_PREFIX, (arr.shape[0], DCI_CRC_LEN))
+    expected = crc_remainder_batch(
+        np.concatenate([prefix, payload], axis=1), "crc24c")
+    mask = (expected[:, -16:] ^ received[:, -16:]).astype(np.int64)
+    rntis = mask @ (1 << np.arange(15, -1, -1, dtype=np.int64))
+    unmasked_ok = np.all(expected[:, :-16] == received[:, :-16], axis=1)
+    return np.where(unmasked_ok, rntis, -1)
 
 
 @dataclass(frozen=True)

@@ -125,20 +125,24 @@ def encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
             f"expected {code.info_len} info bits, got {bits.size}")
     u = np.zeros(code.block_len, dtype=np.uint8)
     u[list(code.info_indices)] = bits
-    x = _transform(u)
-    if code.rate_matched_len <= code.block_len:
-        return x[:code.rate_matched_len].copy()
-    reps = code.rate_matched_len - code.block_len
-    return np.concatenate([x, x[:reps]])
+    # Shortening keeps x[:E]; repetition sends y_k = x_{k mod N}
+    # (38.212 section 5.4.1.2) however many times E wraps around N.
+    return np.resize(_transform(u), code.rate_matched_len)
 
 
 def _llrs_to_mother(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Undo rate matching: fold repetitions, pin shortened bits to zero."""
+    """Undo rate matching: fold repetitions, pin shortened bits to zero.
+
+    Every repetition of the mother code is added in channel order, one
+    ``N``-wide chunk at a time; :func:`_llrs_to_mother_batch` folds in
+    the same order, so the two agree to the last bit.
+    """
     out = np.zeros(code.block_len, dtype=np.float64)
     base = min(code.rate_matched_len, code.block_len)
     out[:base] = llrs[:base]
-    if code.rate_matched_len > code.block_len:
-        extra = llrs[code.block_len:]
+    for start in range(code.block_len, code.rate_matched_len,
+                       code.block_len):
+        extra = llrs[start:start + code.block_len]
         out[:extra.size] += extra
     for idx in code.shortened_outputs:
         out[idx] = _INF_LLR
@@ -219,8 +223,9 @@ def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     out = np.zeros((batch, code.block_len), dtype=np.float64)
     base = min(code.rate_matched_len, code.block_len)
     out[:, :base] = llrs[:, :base]
-    if code.rate_matched_len > code.block_len:
-        extra = llrs[:, code.block_len:]
+    for start in range(code.block_len, code.rate_matched_len,
+                       code.block_len):
+        extra = llrs[:, start:start + code.block_len]
         out[:, :extra.shape[1]] += extra
     for idx in code.shortened_outputs:
         out[:, idx] = _INF_LLR
@@ -228,14 +233,33 @@ def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
 
 
 # Plan op tags (see _sc_plan).  F/G/C are the ordinary SC butterfly
-# nodes; GSKIP/CSKIP are the frozen-left-child degenerate forms; RATE0
-# and REP are whole-subtree shortcuts; LEAF emits one info bit.
+# nodes; GSKIP/CSKIP are the frozen-left-child degenerate forms; RATE0,
+# REP and RATE1 are whole-subtree shortcuts; LEAF emits one info bit.
 _OP_F, _OP_G, _OP_C, _OP_GSKIP, _OP_CSKIP, _OP_RATE0, _OP_REP, \
-    _OP_LEAF = range(8)
+    _OP_RATE1, _OP_LEAF = range(9)
+
+
+@lru_cache(maxsize=16)
+def _rate1_inverse(stage: int) -> np.ndarray:
+    """The involutory GF(2) transform of a ``2**stage``-leaf subtree.
+
+    In this decoder's partial-sum convention a subtree maps its u bits
+    to ``beta = M u`` with ``M = [[M_h, M_h], [0, M_h]]`` (the left
+    half carries ``left ^ right``), i.e. the Kronecker power of
+    ``[[1, 1], [0, 1]]``.  ``M @ M`` is the identity over GF(2), so
+    ``u = M beta``.  uint8 sums wrap modulo 256, which keeps their
+    parity.
+    """
+    matrix = np.ones((1, 1), dtype=np.uint8)
+    kernel = np.array([[1, 1], [0, 1]], dtype=np.uint8)
+    for _ in range(stage):
+        matrix = np.kron(kernel, matrix)
+    matrix.setflags(write=False)
+    return matrix
 
 
 @lru_cache(maxsize=256)
-def _sc_plan(size: int, frozen_bytes: bytes) \
+def _sc_plan(size: int, frozen_bytes: bytes, shared_info_bytes: bytes) \
         -> tuple[tuple[int, int, int, int, int, int], ...]:
     """Compile the SC traversal for one frozen mask into a flat op list.
 
@@ -243,9 +267,12 @@ def _sc_plan(size: int, frozen_bytes: bytes) \
     mask), so it is walked once here and the surviving array operations
     are emitted as ``(tag, stage, offset, width, u_idx, flag)`` tuples;
     :func:`_sc_decode_batch` then interprets the list with no recursion
-    and no per-node frozen-set bookkeeping.  Three structural shortcuts
-    prune the tree during compilation.  Each is *exact* — it reproduces
-    the scalar decoder's outputs bit for bit, never an approximation:
+    and no per-node frozen-set bookkeeping.  ``shared_info_bytes`` marks
+    the leaves that carry information in *every* row of the decode (all
+    of ``~frozen`` for one code; the intersection of the information
+    sets for a joint decode).  Four structural shortcuts prune the tree
+    during compilation.  Each is *exact* — it reproduces the scalar
+    decoder's outputs bit for bit, never an approximation:
 
     * rate-0 subtrees (every covered leaf frozen): the scalar decoder
       forces each frozen leaf to 0 regardless of its LLR, so the
@@ -261,7 +288,17 @@ def _sc_plan(size: int, frozen_bytes: bytes) \
       identical operand order and association as the scalar g-chain,
       so the floating-point value (and hence the tie behaviour) is
       identical; the subtree's partial sums are the decision bit
-      broadcast (transform of ``[0..0,d]`` is ``d`` at every output).
+      broadcast (transform of ``[0..0,d]`` is ``d`` at every output);
+    * rate-1 subtrees (Fast-SSC, Sarkis et al. 2014: every covered leaf
+      carries information in every row): when no input LLR is exactly
+      zero, SC's partial sums are the hard decision of the input (each
+      f keeps a nonzero magnitude and the product sign, each g adds
+      same-signed terms), and ``u`` is that decision through
+      :func:`_rate1_inverse`.  A zero input breaks the argument, so
+      the RATE1 op is followed by the subtree's plain SC sub-plan
+      (``flag`` ops long, itself with rate-1 children) that the
+      interpreter skips only when the input has no zero — exact ties
+      still decode as the scalar decoder does.
 
     The root node's partial-sum outputs are consumed by nobody, so its
     combine step (and the left-bit stash feeding it) is not emitted.
@@ -271,15 +308,21 @@ def _sc_plan(size: int, frozen_bytes: bytes) \
     """
     frozen_mask = np.frombuffer(frozen_bytes, dtype=np.uint8) \
         .astype(bool)
+    shared_info = np.frombuffer(shared_info_bytes, dtype=np.uint8) \
+        .astype(bool)
     n = size.bit_length() - 1
     # frozen_count[b+s] - frozen_count[b] == s  <=>  leaves [b, b+s)
-    # are all frozen  <=>  the subtree covering them is rate-0.
+    # are all frozen  <=>  the subtree covering them is rate-0; the
+    # same test on info_count finds the rate-1 subtrees.
     frozen_count = np.concatenate(
         ([0], np.cumsum(frozen_mask.astype(np.int64))))
+    info_count = np.concatenate(
+        ([0], np.cumsum(shared_info.astype(np.int64))))
     ops: list[tuple[int, int, int, int, int, int]] = []
     next_u = [0]
 
-    def emit(stage: int, offset: int, keep_bits: bool) -> None:
+    def emit(stage: int, offset: int, keep_bits: bool,
+             allow_rate1: bool = True) -> None:
         span = 1 << stage
         base = next_u[0]
         n_frozen = int(frozen_count[base + span] - frozen_count[base])
@@ -296,6 +339,14 @@ def _sc_plan(size: int, frozen_bytes: bytes) \
             next_u[0] += span
             ops.append((_OP_REP, stage, offset, span,
                         base + span - 1, int(keep_bits)))
+            return
+        if span >= 2 and allow_rate1 \
+                and info_count[base + span] - info_count[base] == span:
+            at = len(ops)
+            ops.append((_OP_RATE1, stage, offset, span, base, 0))
+            emit(stage, offset, keep_bits, allow_rate1=False)
+            ops[at] = (_OP_RATE1, stage, offset, span, base,
+                       len(ops) - at - 1)
             return
         if stage == 0:
             # Frozen leaves were pruned above (a single-leaf rate-0
@@ -342,7 +393,10 @@ def _sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray,
 
     The traversal runs a pre-compiled :func:`_sc_plan` op list, so the
     O(N) per-node Python overhead is paid once per *plan compilation*,
-    not per decode.  Buffers are laid out code-position-major —
+    not per decode.  A RATE1 op decides its whole subtree by hard
+    decision and one GF(2) product when its input slice has no exact
+    zero (in any row), and otherwise falls through into the plain SC
+    ops that follow it.  Buffers are laid out code-position-major —
     ``(N, B)`` — so every plan slice is one contiguous block.  Rows
     never interact: the output equals running the scalar decoder on
     each row.
@@ -351,7 +405,8 @@ def _sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray,
     *per row*: a row's decision at leaf ``i`` is forced to 0 unless
     ``leaf_ok[row, i]``.  ``frozen_mask`` must then be the *joint* mask
     (frozen only where every row freezes), which keeps the plan's
-    pruning exact for all rows — see :func:`decode_batch_joint`.
+    pruning exact for all rows — see :func:`decode_batch_joint`.  Only
+    leaves that every row's ``leaf_ok`` admits can join a rate-1 node.
 
     Layout: llrs (B, N) float64
     Layout: leaf_ok (B, N) bool
@@ -359,9 +414,11 @@ def _sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray,
     """
     batch, size = llrs.shape
     n = size.bit_length() - 1
+    shared_info = ~np.asarray(frozen_mask, dtype=bool) if leaf_ok is None \
+        else leaf_ok.all(axis=0)
     plan = _sc_plan(
         size, np.ascontiguousarray(frozen_mask, dtype=np.uint8)
-        .tobytes())
+        .tobytes(), shared_info.astype(np.uint8).tobytes())
     # Every plan read is preceded by a plan write (pruned subtrees emit
     # neither), so the scratch stores can start uninitialised.
     llr_store = [np.empty((size, batch), dtype=np.float64)
@@ -373,7 +430,11 @@ def _sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray,
     ok_cols = None if leaf_ok is None \
         else np.ascontiguousarray(leaf_ok.T, dtype=bool)
 
-    for tag, stage, offset, width, u_idx, flag in plan:
+    i = 0
+    n_ops = len(plan)
+    while i < n_ops:
+        tag, stage, offset, width, u_idx, flag = plan[i]
+        i += 1
         if tag == _OP_F:
             src = llr_store[stage]
             top = src[offset:offset + width]
@@ -402,6 +463,15 @@ def _sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray,
             np.bitwise_xor(dst[offset:offset + width], right_bits,
                            out=dst[offset:offset + width])
             dst[offset + width:offset + 2 * width] = right_bits
+        elif tag == _OP_RATE1:
+            alpha = llr_store[stage][offset:offset + width]
+            if alpha.all():
+                beta = bit_store[stage][offset:offset + width]
+                np.less(alpha, 0.0, out=beta)
+                u = _rate1_inverse(stage) @ beta
+                u &= 1
+                u_hat[:, u_idx:u_idx + width] = u.T
+                i += flag
         elif tag == _OP_GSKIP:
             src = llr_store[stage]
             np.add(src[offset + width:offset + 2 * width],
@@ -485,7 +555,9 @@ def decode_batch_joint(llrs: np.ndarray, codes: tuple[PolarCode, ...]) \
     exactly the scalar decoder's frozen-leaf rule, so each replica's
     output is bit-identical to :func:`decode_batch` under its own code
     (the partial sums a forced 0 feeds are the ones the scalar path
-    computes, so every downstream LLR matches too).
+    computes, so every downstream LLR matches too).  Rate-1 shortcuts
+    cover only subtrees that every code fills with information, where
+    no row's decision is forced.
 
     Returns one ``(B, K_i)`` matrix per code, in ``codes`` order.  All
     codes must share ``(N, E)``; DCI format pairs at one aggregation

@@ -1,10 +1,11 @@
 """decode_slot_batch matches the per-candidate scalar search, bit for bit.
 
-The batched decoder reorders work (gather waves, joint polar decodes,
-batch CRC) but must reproduce the decisions of :func:`scalar_decode_slot`
-— the reference loop that tries one candidate and format at a time
-through :func:`repro.phy.pdcch.try_decode_pdcch` — exactly: same decoded
-DCIs in the same order, same attempt count, same claimed CCEs, under
+The batched decoder reorders work (one decode per candidate position,
+joint polar decodes, one RNTI recovery per block) but must reproduce
+the decisions of :func:`scalar_decode_slot` — the reference loop that
+tries one candidate and format at a time through
+:func:`repro.phy.pdcch.try_decode_pdcch` — exactly: same decoded DCIs
+in the same order, same attempt count, same claimed CCEs, under
 every ablation toggle and under noise.  The slim process wire forms
 (control-region grid slice + content-addressed search-space blob) must
 likewise be invisible to the decode.
@@ -13,6 +14,7 @@ likewise be invisible to the decode.
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,13 +23,14 @@ from repro.core.dci_decoder import DecodedDci, DecodeSpec, \
     pack_grid_for_decode, pack_tracked_for_decode, \
     unpack_grid_for_decode, unpack_tracked_for_decode
 from repro.core.rach_sniffer import RachSniffer, TrackedUe
-from repro.core.scope import GridDecodePayload
-from repro.gnb.cell_config import SRSRAN_PROFILE
+from repro.core.scope import GridDecodePayload, NRScope
+from repro.gnb.cell_config import AMARISOFT_PROFILE, SRSRAN_PROFILE
 from repro.phy.dci import Dci, DciFormat, riv_encode
 from repro.phy.pdcch import PdcchCandidate, candidate_occupied, \
     encode_pdcch, try_decode_pdcch
 from repro.phy.resource_grid import ResourceGrid
 from repro.rrc.messages import RrcSetup
+from repro.simulation import Simulation
 
 
 def scalar_decode_slot(spec: DecodeSpec, grid: ResourceGrid,
@@ -168,6 +171,69 @@ class TestBatchMatchesScalar:
         # One hit per (space, rnti) entry: the whole phase-1 candidate
         # enumeration collapses to a memoized lookup on repeat slots.
         assert _ue_entry_plan.cache_info().hits >= before + len(tracked)
+
+
+def _sent_to(log, slot_index, tracked) -> int:
+    """UE-space DCIs the gNB sent to tracked RNTIs in one slot."""
+    sent = 0
+    for record in reversed(log.dci_records):
+        if record.slot_index != slot_index:
+            break
+        sent += record.search_space == "ue" and record.rnti in tracked
+    return sent
+
+
+@pytest.fixture(scope="module")
+def session_slots():
+    """The first 30 DCI-bearing slots of a seeded amarisoft iq session
+    (16 UEs, sniffer at -2 dB): the tracked UEs' candidates overlap on
+    the 8-CCE CORESET, decodes claim CCEs and some DCIs are missed.
+    Each entry is ``(spec, grid, slot_index, tracked, n_sent)``."""
+    sim = Simulation.build(AMARISOFT_PROFILE, n_ues=16, seed=5,
+                           fidelity="iq")
+    scope = NRScope.attach(sim, snr_db=-2.0)
+    slots = []
+    original = GridDciDecoder.decode_slot_batch
+
+    def capture(self, grid, slot_index, tracked, claimed=None):
+        sent = _sent_to(sim.gnb.log, slot_index, tracked)
+        if sent:
+            slots.append((self.spec, grid, slot_index, dict(tracked),
+                          sent))
+        return original(self, grid, slot_index, tracked, claimed)
+
+    GridDciDecoder.decode_slot_batch = capture
+    try:
+        while len(slots) < 30 and sim.slots_run < 1000:
+            sim.run_slots(10)
+        sim.flush_observers()
+    finally:
+        GridDciDecoder.decode_slot_batch = original
+    scope.close()
+    return slots[:30]
+
+
+class TestSessionSlots:
+    def test_decode_matches_oracle_slot_by_slot(self, session_slots):
+        assert len(session_slots) == 30
+        n_sent = n_decoded = n_claimed = 0
+        for spec, grid, slot_index, tracked, sent in session_slots:
+            decoder = GridDciDecoder(spec)
+            claimed_b: set = set()
+            claimed_s: set = set()
+            out_b = decoder.decode_slot_batch(grid, slot_index, tracked,
+                                              claimed=claimed_b)
+            out_s, attempts_s = scalar_decode_slot(
+                spec, grid, slot_index, tracked, claimed=claimed_s)
+            assert out_b == out_s, slot_index
+            assert decoder.attempts == attempts_s, slot_index
+            assert claimed_b == claimed_s, slot_index
+            n_sent += sent
+            n_decoded += len(out_s)
+            n_claimed += len(claimed_s)
+        # The slots exercise claims and misses, not only clean decodes.
+        assert n_claimed > 0
+        assert n_decoded < n_sent
 
 
 class TestSlimWireForms:

@@ -6,6 +6,7 @@ is checked for *exact* agreement — including hypothesis-generated
 record batches and a seeded end-to-end sniff session.
 """
 
+import json
 import math
 import os
 import pickle
@@ -20,6 +21,10 @@ from repro.core.telemetry import TelemetryLog, TelemetryRecord
 from repro.core.telemetry_store import DEFAULT_CHUNK_ROWS, \
     RECORD_DTYPE, RECORD_FIELDS, TelemetryStore, TelemetryStoreError, \
     window_count, window_edges
+from repro.phy.numerology import slot_duration_s
+
+#: One 30 kHz slot, the spacing of the synthetic rows below.
+SLOT_S = slot_duration_s(30)
 
 
 def make_row(slot=0, time_s=0.0, rnti=0x4601, downlink=True, tbs=1000,
@@ -109,7 +114,7 @@ class TestStoreBasics:
 
     def test_append_and_table_order(self):
         store = fill(TelemetryStore(), [
-            make_row(slot=i, time_s=i * 0.5e-3, tbs=100 + i)
+            make_row(slot=i, time_s=i * SLOT_S, tbs=100 + i)
             for i in range(10)])
         assert len(store) == 10
         assert store.table()["tbs_bits"].tolist() == \
@@ -270,6 +275,16 @@ def _half_written_manifest(seg):
     return "manifest.json"
 
 
+def _manifest_field(key, value):
+    def corrupt(seg):
+        manifest = seg / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc[key] = value
+        manifest.write_text(json.dumps(doc))
+        return "manifest.json"
+    return corrupt
+
+
 class TestPersistence:
     def test_segments_roundtrip(self, tmp_path):
         rows = [make_row(slot=i, time_s=i * 1e-3, tbs=i, rnti=5 + i % 3)
@@ -282,9 +297,12 @@ class TestPersistence:
 
     @pytest.mark.parametrize("corrupt", [
         _foreign_dtype, _truncated_segment, _missing_segment,
-        _half_written_manifest,
+        _half_written_manifest, _manifest_field("chunk_rows", "x"),
+        _manifest_field("chunk_rows", None), _manifest_field("rows", "many"),
+        _manifest_field("dtype", 7),
     ], ids=["foreign_dtype", "truncated_segment", "missing_segment",
-            "half_written_manifest"])
+            "half_written_manifest", "chunk_rows_not_a_number",
+            "chunk_rows_null", "rows_not_a_number", "dtype_not_a_list"])
     def test_segments_reject_corruption(self, tmp_path, corrupt):
         store = fill(TelemetryStore(chunk_rows=4),
                      [make_row() for _ in range(6)])
@@ -335,7 +353,7 @@ class TestFacadeEquivalence:
         log = TelemetryLog()
         for i in range(25):
             log.add(TelemetryRecord(
-                slot_index=i, time_s=i * 5e-4, rnti=0x4601 + i % 3,
+                slot_index=i, time_s=i * SLOT_S, rnti=0x4601 + i % 3,
                 downlink=i % 4 != 0, tbs_bits=999 + i, n_prb=4,
                 n_symbols=12, mcs_index=i % 28, harq_id=i % 16,
                 ndi=i % 2, rv=0, is_retransmission=i % 5 == 0,

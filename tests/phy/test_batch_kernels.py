@@ -17,14 +17,16 @@ from repro.phy.coreset import Coreset, SearchSpace, _candidate_starts
 from repro.phy.crc import crc_generator_matrix, crc_remainder, \
     crc_remainder_batch
 from repro.phy.pdcch import dci_crc_attach, dci_crc_check, \
-    dci_crc_check_batch
+    dci_crc_check_batch, dci_recover_rnti, dci_recover_rnti_batch
 from repro.phy.scrambling import descramble_llrs, gold_sequence, \
     sign_cache_stats
 
 #: (k, E) pairs the PDCCH path actually uses: E = 108 * level, k = DCI
-#: payload + CRC for the two monitored formats.
+#: payload + CRC for the two monitored formats; (60, 1728) repeats the
+#: N = 512 mother code more than twice (E > 2N).
 CODE_SHAPES = [(44, 108), (65, 108), (44, 216), (65, 216),
-               (44, 432), (65, 432), (65, 864), (12, 108), (100, 216)]
+               (44, 432), (65, 432), (65, 864), (12, 108), (100, 216),
+               (60, 1728)]
 
 #: LLR values drawn from a small integer lattice so exact zeros and
 #: magnitude ties occur constantly — the regime where min-sum sign
@@ -67,6 +69,38 @@ class TestDecodeBatchEquivalence:
         assert len(joint) == len(codes)
         for code, out in zip(codes, joint):
             assert np.array_equal(out, polar.decode_batch(llrs, code))
+
+    def test_rate1_node_falls_back_to_sc_on_an_exact_zero(self):
+        # Leaves 2 and 3 form a rate-1 node whose input is (a + c,
+        # b + d) after the frozen left child; a + c == 0 is a tie where
+        # hard decision and SC disagree (SC: f = 0 decides u2 = 0).
+        frozen = np.array([True, True, False, False])
+        plan = polar._sc_plan(4, frozen.astype(np.uint8).tobytes(),
+                              (~frozen).astype(np.uint8).tobytes())
+        assert any(op[0] == polar._OP_RATE1 for op in plan)
+        llrs = np.array([[1.0, -1.0, -1.0, -1.0],     # tie
+                         [1.0, -1.0, -2.0, -1.0],     # no tie
+                         [0.0, 0.0, 0.0, 0.0]])       # all zero
+        out = polar._sc_decode_batch(llrs, frozen)
+        for row in range(llrs.shape[0]):
+            assert np.array_equal(out[row],
+                                  polar._sc_decode(llrs[row], frozen))
+        assert out[0].tolist() == [0, 0, 0, 1]
+
+    def test_rate1_tie_in_a_pdcch_code_matches_decode(self):
+        # An exact zero anywhere in the channel LLRs reaches rate-1
+        # node inputs of the real DCI codes; every row must still be
+        # the scalar decode.
+        rng = np.random.default_rng(3)
+        for k, e in ((70, 216), (59, 432), (70, 864)):
+            code = polar.construct(k, e)
+            llrs = rng.normal(0.0, 1.0, size=(4, e))
+            llrs[0, rng.integers(0, e, size=e // 4)] = 0.0
+            llrs[1] = np.round(llrs[1])
+            out = polar.decode_batch(llrs, code)
+            for row in range(4):
+                assert np.array_equal(out[row],
+                                      polar.decode(llrs[row], code))
 
     def test_decoded_bits_roundtrip_encode(self):
         # Noise-free sanity: decode_batch inverts encode for every shape.
@@ -114,6 +148,30 @@ class TestCrcBatchEquivalence:
                     for i in range(3)]
         assert got.tolist() == expected
         assert expected[0] is True
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_recover_rnti_batch_matches_scalar(self, data):
+        payload_len = data.draw(st.integers(min_value=12,
+                                            max_value=80))
+        rnti = data.draw(st.integers(min_value=1, max_value=0xFFF0))
+        payload = np.array(data.draw(st.lists(
+            st.integers(0, 1), min_size=payload_len,
+            max_size=payload_len)), dtype=np.uint8)
+        good = dci_crc_attach(payload, rnti)
+        corrupted = good.copy()
+        corrupted[data.draw(st.integers(0, good.size - 1))] ^= 1
+        blocks = np.stack([good, corrupted, dci_crc_attach(payload, 0)])
+        got = dci_recover_rnti_batch(blocks)
+        expected = [dci_recover_rnti(block) for block in blocks]
+        assert got.tolist() == [-1 if value is None else value
+                                for value in expected]
+        assert expected[0] == rnti and expected[2] == 0
+
+    def test_recover_rnti_batch_rejects_crc_only_blocks(self):
+        blocks = np.zeros((2, 24), dtype=np.uint8)
+        assert dci_recover_rnti_batch(blocks).tolist() == [-1, -1]
+        assert dci_recover_rnti(blocks[0]) is None
 
     def test_generator_matrix_is_cached_and_frozen(self):
         before = crc_generator_matrix.cache_info().hits
